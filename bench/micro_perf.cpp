@@ -44,11 +44,6 @@ bench::perf_record bench_reduce(const topo::instance& inst,
                                 core::nn_backend be, int reps) {
     core::engine_options eopt;
     eopt.backend = be;
-    // The linear row is perf_diff's machine-speed calibration reference
-    // and must stay the frozen seed implementation — pin it to the scalar
-    // plan kernel so kernel work never shifts the calibration factor.
-    if (be == core::nn_backend::linear)
-        eopt.kernel = core::plan_kernel::scalar;
     const core::merge_solver solver(rc::delay_model::elmore(),
                                     core::skew_spec::zero());
     const core::bottom_up_engine engine(solver, eopt);
@@ -150,29 +145,28 @@ plan_stream make_plan_stream(const topo::instance& inst,
 
 /// The batched SoA plan kernels (DESIGN.md §11) in isolation: replay the
 /// nearest-pair reduce's accepted merge stream — the exact solves the
-/// reduce commits, n-1 of them — through one kernel selection.  Backend
-/// tags: "t1" = solve_plan_batch over the whole stream (the gated
-/// series, plan_batch:t1) and "scalar" = the per-pair reference
-/// solver.plan() loop.  The t1-vs-scalar ratio at the largest n is the
-/// headline batch-kernel speedup (plans are bit-identical either way —
-/// tests/test_plan_kernels.cpp asserts that; this series measures only
-/// the wall-clock the kernels buy).  The t1 row's cache_hit_rate field
+/// reduce commits, n-1 of them — through the batch kernels (`batched`)
+/// or the per-pair scalar solver.  Backend tags: "t1" = solve_plan_batch
+/// over the whole stream (the gated series, plan_batch:t1) and "scalar" =
+/// the per-pair reference solver.plan() loop.  The t1-vs-scalar ratio at
+/// the largest n is the headline batch-kernel speedup (plans are
+/// bit-identical either way — tests/test_plan_kernels.cpp asserts that;
+/// this series measures only the wall-clock the kernels buy).  The t1 row's cache_hit_rate field
 /// carries the fast-path fraction 1 - fallbacks/solves, proving the
 /// kernels engaged rather than bouncing to the scalar path wholesale.
 bench::perf_record bench_plan_batch(const plan_stream& ps,
                                     const core::merge_solver& solver,
-                                    core::plan_kernel kernel, int n,
-                                    int reps) {
+                                    bool batched, int n, int reps) {
     bench::perf_record rec;
     rec.bench = "plan_batch";
-    rec.backend = kernel == core::plan_kernel::batch ? "t1" : "scalar";
+    rec.backend = batched ? "t1" : "scalar";
     rec.n = n;
     rec.seconds = std::numeric_limits<double>::infinity();
     std::vector<std::optional<core::merge_plan>> out(ps.pairs.size());
     for (int rep = 0; rep < reps; ++rep) {
         int fallbacks = 0;
         const auto t0 = std::chrono::steady_clock::now();
-        if (kernel == core::plan_kernel::batch) {
+        if (batched) {
             fallbacks = core::solve_plan_batch(solver, ps.tree,
                                                ps.pairs.data(),
                                                ps.pairs.size(), out.data());
@@ -545,10 +539,10 @@ int main(int argc, char** argv) {
                                             core::skew_spec::uniform(2.0));
             const plan_stream ps = make_plan_stream(inst, solver);
             const int reps = n >= 3000 ? 9 : 11;
-            const auto batch = bench_plan_batch(
-                ps, solver, core::plan_kernel::batch, n, reps);
-            const auto scalar = bench_plan_batch(
-                ps, solver, core::plan_kernel::scalar, n, reps);
+            const auto batch =
+                bench_plan_batch(ps, solver, /*batched=*/true, n, reps);
+            const auto scalar =
+                bench_plan_batch(ps, solver, /*batched=*/false, n, reps);
             const double speedup =
                 batch.seconds > 0.0 ? scalar.seconds / batch.seconds : 0.0;
             t.add_row({batch.bench, std::to_string(batch.n), batch.backend,

@@ -6,8 +6,9 @@ For every gated series — "bench:backend" or "bench:backend:metric", the
 metric defaulting to "seconds" — present in both files, the largest common
 n is compared; a regression beyond --tolerance (default 20%) fails the
 run.  Because absolute wall-clock shifts with the machine, the current
-numbers are first calibrated by the linear-backend reference (the frozen
-seed implementation): its runtime ratio baseline/current estimates the
+numbers are first calibrated by the linear-backend engine_reduce row (the
+linear NN scan plus the shared plan kernels, so a change to either must
+recommit the baseline): its runtime ratio baseline/current estimates the
 machine-speed factor, and the gated timings are scaled by it before
 comparison (every gated metric is a time, so the same factor applies).
 Pass --no-calibrate for raw wall-clock.

@@ -6,9 +6,8 @@
 //   $ ./route_cli INSTANCE [--algo ast|zst|bst|sep] [--bound PS]
 //                 [--mode auto|windowed|exact|soft] [--threads N]
 //                 [--deadline MS] [--speculate K] [--no-plan-cache]
-//                 [--kernel scalar|batch] [--shards K|auto] [--retries N]
-//                 [--degrade] [--fault-seed S] [--svg OUT.svg]
-//                 [--json OUT.json]
+//                 [--shards K|auto] [--retries N] [--degrade]
+//                 [--fault-seed S] [--svg OUT.svg] [--json OUT.json]
 //
 // --threads 0 (default) uses the hardware concurrency; multi-merge engine
 // rounds fan out across the pool, and results are bit-identical to
@@ -16,12 +15,9 @@
 // plan() calls ahead of selection (needs >= 2 threads to engage;
 // bit-identical trees either way) and --no-plan-cache disables the
 // cross-step plan memo speculation lands in; the stats block reports the
-// cache and speculation counters.  --kernel selects the merge-plan solve
-// path (DESIGN.md §11): "batch" — the default — drains plan work through
-// the SoA batch kernels with scalar fallback for general-path lanes,
-// "scalar" pins the reference per-pair plan(); trees and every
-// pre-existing statistic are bit-identical either way, only wall-clock
-// and the kernel counters in the stats block move.  --shards K routes through the sharded
+// cache and speculation counters, and the plan-kernel line how many plans
+// the SoA batch kernels solved and how many lanes fell back to the scalar
+// solver (DESIGN.md §11).  --shards K routes through the sharded
 // reduction (partition + parallel sub-reduce + associative stitch;
 // "auto" or 0 picks a count from the instance size and the thread pool,
 // 1 — the default — keeps the monolithic engine; ledger-backed AST modes
@@ -64,8 +60,7 @@ int usage(const char* argv0) {
                  "          [--mode auto|windowed|exact|soft]"
                  " [--threads N] [--deadline MS]\n"
                  "          [--speculate K] [--no-plan-cache]"
-                 " [--kernel scalar|batch]\n"
-                 "          [--shards K|auto]\n"
+                 " [--shards K|auto]\n"
                  "          [--retries N] [--degrade] [--fault-seed S]\n"
                  "          [--svg OUT.svg] [--json OUT.json]\n";
     return 2;
@@ -84,7 +79,6 @@ int main(int argc, char** argv) {
     double deadline_ms = 0.0;  // <= 0: none
     int speculate_k = 0;
     bool plan_cache = true;
-    core::plan_kernel kernel = core::plan_kernel::batch;
     int shards = 1;
     int retries = 1;
     bool degrade = false;
@@ -112,20 +106,6 @@ int main(int argc, char** argv) {
             speculate_k = std::atoi(need("--speculate"));
         else if (a == "--no-plan-cache")
             plan_cache = false;
-        else if (a == "--kernel") {
-            // Strict parse: a typo must not silently pick the other solve
-            // path (the two are bit-identical, so a misspelling would only
-            // show up as a perf mystery).
-            const std::string v = need("--kernel");
-            if (v == "scalar")
-                kernel = core::plan_kernel::scalar;
-            else if (v == "batch")
-                kernel = core::plan_kernel::batch;
-            else {
-                std::cerr << "--kernel wants \"scalar\" or \"batch\"\n";
-                return usage(argv[0]);
-            }
-        }
         else if (a == "--shards") {
             // Strict parse: a typo must not silently select a different
             // routing mode ("auto"/0 = heuristic, K >= 1 = fixed count).
@@ -173,7 +153,6 @@ int main(int argc, char** argv) {
     req.instance = &inst;
     req.options.engine.speculate_k = speculate_k;
     req.options.engine.plan_cache = plan_cache;
-    req.options.engine.kernel = kernel;
     req.options.engine.shards = shards;
     const auto id = core::strategy_registry::global().id_of(algo);
     if (!id.has_value()) return usage(argv[0]);
@@ -212,10 +191,7 @@ int main(int argc, char** argv) {
                            std::chrono::steady_clock::duration>(
                            std::chrono::duration<double, std::milli>(
                                deadline_ms));
-    const char* kernel_name =
-        kernel == core::plan_kernel::batch ? "batch" : "scalar";
-    std::cout << "routing " << path << " [" << algo << ", kernel "
-              << kernel_name << "]\n";
+    std::cout << "routing " << path << " [" << algo << "]\n";
     core::route_handle handle = service.submit(req, sub);
     core::route_result route = handle.wait();
     if (!route.usable()) {
@@ -249,10 +225,9 @@ int main(int argc, char** argv) {
     std::cout << "\n  speculation     : " << st.speculated_plans
               << " dispatched, " << st.speculative_hits << " consumed, "
               << st.wasted_speculation << " wasted\n";
-    std::cout << "  kernel          : " << kernel_name << " ("
-              << st.batch_planned << " batch-planned, "
-              << st.kernel_fallbacks << " fallbacks, "
-              << st.nn_scratch_reuses << " scratch reuses)\n";
+    std::cout << "  plan kernels    : " << st.batch_planned
+              << " batch-planned, " << st.kernel_fallbacks
+              << " fallbacks\n";
     if (st.shards > 0)
         std::cout << "  shards          : " << st.shards
                   << " sub-reductions\n";

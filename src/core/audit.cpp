@@ -200,8 +200,6 @@ std::string verify_stats_books(const engine_stats& s) {
     if (s.batch_planned < 0) return bad("batch_planned", s.batch_planned);
     if (s.kernel_fallbacks < 0)
         return bad("kernel_fallbacks", s.kernel_fallbacks);
-    if (s.nn_scratch_reuses < 0)
-        return bad("nn_scratch_reuses", s.nn_scratch_reuses);
     if (s.shards < 0) return bad("shards", s.shards);
     if (s.merges != s.disjoint_merges + s.shared_merges) {
         err << "merge taxonomy does not sum: merges " << s.merges

@@ -2,6 +2,7 @@
 
 #include "core/audit.hpp"
 #include "core/dary_heap.hpp"
+#include "core/plan_kernels.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -65,12 +66,9 @@ struct engine_scratch::impl {
     // Multi-merge round buffers (slot-indexed NN records, pre-solved plans).
     std::vector<std::pair<topo::node_id, double>> round_nn;
     std::vector<std::optional<merge_plan>> round_plans;
-    // Batch-kernel buffers (engine_options::kernel == batch): the NN
-    // gather scratch of the grid backend's batched queries, and the
-    // pair/result/fallback-count arrays the chunked solve_plan_batch
-    // dispatches write into (disjoint slots per chunk, so parallel
-    // chunks stay deterministic).
-    nn_query_scratch nnq;
+    // Plan-kernel buffers: the pair/result/fallback-count arrays the
+    // chunked solve_plan_batch dispatches write into (disjoint slots per
+    // chunk, so parallel chunks stay deterministic).
     std::vector<std::pair<topo::node_id, topo::node_id>> kernel_pairs;
     std::vector<std::optional<merge_plan>> kernel_out;
     std::vector<int> kernel_fb;
@@ -91,7 +89,6 @@ struct engine_scratch::impl {
         radius.clear();
         spec_peek.clear();
         spec_jobs.clear();
-        nnq.reset();
         kernel_pairs.clear();
         kernel_out.clear();
         kernel_fb.clear();
@@ -144,26 +141,13 @@ void heap_pop(std::vector<T>& h) {
     dary_pop<Cmp>(h);
 }
 
-/// Inlined ban predicate: no std::function on the hot path.  This is the
-/// seed's literal probe — every candidate pair walks the hash set — and
-/// the `kernel = scalar` dispatch keeps it, so the scalar rows of the
-/// perf series stay the frozen reference implementation (the same role
-/// the linear NN backend plays for the grid).
-struct ban_table {
-    const std::unordered_set<std::uint64_t>* bans;
-    [[nodiscard]] bool operator()(std::uint64_t k) const {
-        return bans->count(k) != 0;
-    }
-};
-
-/// Batch-kernel ban predicate (engine_options::kernel == batch): the
-/// packed pair key carries both endpoint ids (pair_key, nn_index.hpp),
-/// so the degree table short-circuits the hash walk whenever either
-/// endpoint has never been part of a ban — the overwhelmingly common
-/// case, since bans accrue one rejected pair at a time while the NN
-/// loops probe every candidate pair they scan.  Bit-identical answers
-/// to ban_table: a pair is in `bans` only if both endpoints' degrees
-/// are nonzero (ban_pair bumps both).
+/// Inlined ban predicate (no std::function on the hot path): the packed
+/// pair key carries both endpoint ids (pair_key, nn_index.hpp), so the
+/// degree table short-circuits the hash walk whenever either endpoint has
+/// never been part of a ban — the overwhelmingly common case, since bans
+/// accrue one rejected pair at a time while the NN loops probe every
+/// candidate pair they scan.  Exact: a pair is in `bans` only if both
+/// endpoints' degrees are nonzero (ban_pair bumps both).
 struct ban_table_fast {
     const std::unordered_set<std::uint64_t>* bans;
     const std::vector<std::uint32_t>* deg;
@@ -178,14 +162,54 @@ struct ban_table_fast {
 };
 
 /// Record a banned pair: the hash set answers exact probes, the degree
-/// table powers ban_table's fast path.  The degree vector grows lazily to
-/// the larger endpoint (merged roots mint fresh ids mid-run).
+/// table powers ban_table_fast's short-circuit.  The degree vector grows
+/// lazily to the larger endpoint (merged roots mint fresh ids mid-run).
 void ban_pair(engine_scratch::impl& s, topo::node_id a, topo::node_id b) {
     s.banned.insert(pair_key(a, b));
     const auto need = static_cast<std::size_t>(std::max(a, b)) + 1;
     if (s.ban_deg.size() < need) s.ban_deg.resize(need, 0);
     ++s.ban_deg[static_cast<std::size_t>(a)];
     ++s.ban_deg[static_cast<std::size_t>(b)];
+}
+
+/// Nearest unbanned partner of `i` — the one NN query of both merge
+/// orders.  A pair can be banned only if *both* endpoints have nonzero ban
+/// degree, so a centre that takes part in no ban runs with the fully
+/// inlined no_bans predicate and skips every per-candidate probe; a
+/// centre that does carry bans gets the degree-pruned probe.  Almost every
+/// query qualifies for the former.  Reads the ban state only, so
+/// concurrent queries between commits are safe.
+template <class Index>
+std::optional<std::pair<topo::node_id, double>> nearest_unbanned(
+    const Index& idx, const engine_scratch::impl& s, topo::node_id i) {
+    const auto si = static_cast<std::size_t>(i);
+    if (si >= s.ban_deg.size() || s.ban_deg[si] == 0)
+        return idx.nearest_if(i, no_bans{});
+    return idx.nearest_if(i, ban_table_fast{&s.banned, &s.ban_deg});
+}
+
+/// Solve `pairs` through the batch kernels in kplan_lanes chunks, fanned
+/// over `exec` when present (null runs inline).  Each chunk writes its
+/// plans into `out` and its fallback count into `fb` at disjoint slots, so
+/// the result is deterministic under any schedule.  Books the kernel
+/// counters.
+void solve_chunks(const merge_solver& solver, const topo::clock_tree& t,
+                  task_executor* exec,
+                  const std::vector<std::pair<topo::node_id, topo::node_id>>&
+                      pairs,
+                  std::optional<merge_plan>* out, std::vector<int>& fb,
+                  engine_stats& st) {
+    const std::size_t chunks = (pairs.size() + kplan_lanes - 1) / kplan_lanes;
+    fb.assign(chunks, 0);
+    run_indexed(exec, chunks, [&](std::size_t c) {
+        const std::size_t lo = c * kplan_lanes;
+        const std::size_t n = std::min(kplan_lanes, pairs.size() - lo);
+        fb[c] = solve_plan_batch(solver, t, pairs.data() + lo, n, out + lo);
+    });
+    int total_fb = 0;
+    for (const int f : fb) total_fb += f;
+    st.kernel_fallbacks += total_fb;
+    st.batch_planned += static_cast<int>(pairs.size()) - total_fb;
 }
 
 void note_plan(const merge_plan& p, double dist, engine_stats& st) {
@@ -250,10 +274,9 @@ class nearest_reducer {
                    opt.executor != nullptr && opt.executor->concurrency() > 1),
           // The batch kernels' fast path requires ledger-free planning
           // (plan_kernels.hpp); a ledger-backed run would bounce every
-          // lane anyway, so gate the dispatch off entirely and keep the
-          // kernel counters at zero there.
-          batch_on_(opt.kernel == plan_kernel::batch &&
-                    solver.ledger() == nullptr) {
+          // lane anyway, so it calls plan() directly and keeps the kernel
+          // counters at zero.
+          batch_on_(solver.ledger() == nullptr) {
         s_.reset(t_.size());
         for (topo::node_id r : roots) recompute(r);
     }
@@ -364,12 +387,12 @@ class nearest_reducer {
     /// once per reduce, at the normal end and before an interrupt unwinds.
     void finalize_stats() {
         st_.wasted_speculation = st_.speculated_plans - st_.speculative_hits;
-        st_.nn_scratch_reuses += s_.nnq.reuses;
     }
 
-    /// One plan solve, routed through the batch kernel (a chunk of one:
-    /// the SoA fast path still skips the scalar path's working-state
-    /// copies and shared-group allocation) or the scalar solver.
+    /// One plan solve: through the batch kernel for ledger-free solvers (a
+    /// chunk of one: the SoA fast path still skips the scalar path's
+    /// working-state copies and shared-group allocation), plan() for
+    /// ledger-backed ones.
     std::optional<merge_plan> solve_one(topo::node_id a, topo::node_id b) {
         if (!batch_on_) return solver_.plan(t_, a, b);
         const std::pair<topo::node_id, topo::node_id> pr{a, b};
@@ -458,39 +481,18 @@ class nearest_reducer {
                             std::nullopt});
         }
         if (jobs.empty()) return;
-        if (batch_on_) {
-            // Chunked batch dispatch: each worker solves a kplan_lanes
-            // chunk of the job list via the SoA kernels, writing plans and
-            // its own fallback count into disjoint slots — deterministic
-            // regardless of schedule, and each chunk amortises the kernel
-            // over several lanes instead of going pair-at-a-time.
-            auto& pairs = s_.kernel_pairs;
-            auto& outs = s_.kernel_out;
-            auto& fb = s_.kernel_fb;
-            pairs.resize(jobs.size());
-            outs.assign(jobs.size(), std::nullopt);
-            for (std::size_t i = 0; i < jobs.size(); ++i)
-                pairs[i] = {jobs[i].a, jobs[i].b};
-            const std::size_t chunks =
-                (jobs.size() + kplan_lanes - 1) / kplan_lanes;
-            fb.assign(chunks, 0);
-            run_indexed(opt_.executor, chunks, [&](std::size_t c) {
-                const std::size_t lo = c * kplan_lanes;
-                const std::size_t n = std::min(kplan_lanes, jobs.size() - lo);
-                fb[c] = solve_plan_batch(solver_, t_, pairs.data() + lo, n,
-                                         outs.data() + lo);
-            });
-            for (std::size_t i = 0; i < jobs.size(); ++i)
-                jobs[i].plan = std::move(outs[i]);
-            int total_fb = 0;
-            for (const int f : fb) total_fb += f;
-            st_.kernel_fallbacks += total_fb;
-            st_.batch_planned += static_cast<int>(jobs.size()) - total_fb;
-        } else {
-            run_indexed(opt_.executor, jobs.size(), [&](std::size_t i) {
-                jobs[i].plan = solver_.plan(t_, jobs[i].a, jobs[i].b);
-            });
-        }
+        // Speculation implies a ledger-free solver, so the jobs go through
+        // the batch kernels, chunk-parallel over the executor.
+        auto& pairs = s_.kernel_pairs;
+        auto& outs = s_.kernel_out;
+        pairs.resize(jobs.size());
+        outs.assign(jobs.size(), std::nullopt);
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            pairs[i] = {jobs[i].a, jobs[i].b};
+        solve_chunks(solver_, t_, opt_.executor, pairs, outs.data(),
+                     s_.kernel_fb, st_);
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            jobs[i].plan = std::move(outs[i]);
         for (auto& j : jobs) {
             s_.plans.store(ordered_pair_key(j.a, j.b), j.gen_a, j.gen_b,
                            /*speculative=*/true, std::move(j.plan));
@@ -528,42 +530,7 @@ class nearest_reducer {
     }
 
     void recompute(topo::node_id i) {
-        // Batch kernel only: a centre that takes part in no ban can skip
-        // every per-candidate ban probe — pair (i, j) can only be banned
-        // if *both* endpoints have nonzero ban degree — so the query runs
-        // with the fully inlined no_bans predicate, and centres that do
-        // carry bans still get the degree-pruned probe.  Almost every
-        // recompute qualifies (bans accrue one rejected pair at a time).
-        // The scalar kernel keeps the seed's plain hash probe so the
-        // reference rows of the perf series measure the seed path.
-        if (batch_on_) {
-            const auto si = static_cast<std::size_t>(i);
-            if (si >= s_.ban_deg.size() || s_.ban_deg[si] == 0) {
-                recompute_with(i, no_bans{});
-                return;
-            }
-            recompute_with(i, ban_table_fast{&s_.banned, &s_.ban_deg});
-            return;
-        }
-        recompute_with(i, ban_table{&s_.banned});
-    }
-
-    template <class Banned>
-    void recompute_with(topo::node_id i, Banned banned) {
-        // The batched ring expansion exists only on the grid backend (the
-        // linear scan has no gather stage worth batching); the reducer's
-        // NN maintenance is single-threaded, so one scratch serves the run.
-        if constexpr (std::is_same_v<Index, grid_index>) {
-            if (batch_on_) {
-                const auto n = idx_.nearest_if_batched(i, banned, s_.nnq);
-                if (n.has_value())
-                    set_nn(i, n->first, n->second);
-                else
-                    set_nn(i, topo::knull_node, 0.0);
-                return;
-            }
-        }
-        const auto n = idx_.nearest_if(i, banned);
+        const auto n = nearest_unbanned(idx_, s_, i);
         if (n.has_value())
             set_nn(i, n->first, n->second);
         else
@@ -677,37 +644,18 @@ class nearest_reducer {
         if (!s_.starved.empty()) {
             const std::vector<topo::node_id> snapshot(s_.starved.begin(),
                                                       s_.starved.end());
-            const geom::tilted_rect& arc_c0 = t_.node(c).arc;
+            const geom::tilted_rect& arc_c = t_.node(c).arc;
             for (topo::node_id i : snapshot)
-                set_nn(i, c, t_.node(i).arc.distance(arc_c0));
+                set_nn(i, c, t_.node(i).arc.distance(arc_c));
         }
         const double radius = current_radius();
-        const geom::tilted_rect& arc_c = t_.node(c).arc;
-        if constexpr (std::is_same_v<Index, grid_index>) {
-            if (batch_on_) {
-                // Batched fold-in: same candidate superset and visit
-                // order, distances from the SoA kernel (symmetric gap, so
-                // the orientation swap is bitwise-neutral); the
-                // duplicate-visit guard and the strict `<` update are the
-                // scalar loop's, applied to precomputed distances.
-                idx_.for_each_within_batched(
-                    arc_c, radius, s_.nnq, [&](topo::node_id i, double d) {
-                        if (i == c) return;
-                        const auto si = static_cast<std::size_t>(i);
-                        if (s_.nn_to[si] == c) return;
-                        if (d < s_.nn_dist[si]) set_nn(i, c, d);
-                    });
-                recompute(c);
-                return;
-            }
-        }
-        idx_.for_each_within(arc_c, radius, [&](topo::node_id i) {
-            if (i == c) return;
-            const auto si = static_cast<std::size_t>(i);
-            if (s_.nn_to[si] == c) return;  // already folded (duplicate visit)
-            const double d = t_.node(i).arc.distance(arc_c);
-            if (d < s_.nn_dist[si]) set_nn(i, c, d);
-        });
+        idx_.for_each_within(
+            t_.node(c).arc, radius, [&](topo::node_id i, double d) {
+                if (i == c) return;
+                const auto si = static_cast<std::size_t>(i);
+                if (s_.nn_to[si] == c) return;  // already folded (duplicate)
+                if (d < s_.nn_dist[si]) set_nn(i, c, d);
+            });
         recompute(c);
     }
 
@@ -733,7 +681,7 @@ class nearest_reducer {
     Index idx_;
     const bool cache_on_;  ///< plan memo enabled (knob on, ledger-free)
     const bool spec_on_;   ///< top-k dispatch enabled (memo + wide executor)
-    const bool batch_on_;  ///< SoA kernels enabled (knob on, ledger-free)
+    const bool batch_on_;  ///< SoA plan kernels (ledger-free solver)
 };
 
 template <class Index>
@@ -765,19 +713,17 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
     Index idx(&t, roots);
     s.banned.clear();
     s.ban_deg.clear();
-    const ban_table banned_fn{&s.banned};
     task_executor* exec = opt.executor;
-    const bool parallel_plans = exec != nullptr && solver.ledger() == nullptr;
-    const bool batch_on =
-        opt.kernel == plan_kernel::batch && solver.ledger() == nullptr;
     // Pre-solving a round's plans before any of its commits is exact for
     // ledger-free solvers whether or not an executor is present: the
     // round's mutually-nearest pairs are vertex-disjoint, and a commit
     // mutates only its own pair's nodes (snake side-roots are the pair
     // roots themselves), so no plan reads state another commit of the
-    // same round writes.  The batch kernel piggybacks on that argument to
-    // solve the round in kplan_lanes chunks even sequentially.
-    const bool pre_plans = parallel_plans || batch_on;
+    // same round writes.  The batch kernels solve the round in
+    // kplan_lanes chunks on that argument, fanned out when an executor is
+    // present; ledger-backed solvers plan each pair just before its
+    // commit.
+    const bool pre_plans = solver.ledger() == nullptr;
 
     struct cand {
         topo::node_id a, b;
@@ -808,7 +754,7 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
         s.round_nn.assign(m, {topo::knull_node, 0.0});
         auto& nn = s.round_nn;
         run_indexed(exec, m, [&](std::size_t k) {
-            if (const auto n = idx.nearest_if(act[k], banned_fn)) nn[k] = *n;
+            if (const auto n = nearest_unbanned(idx, s, act[k])) nn[k] = *n;
         });
 
         // Mutually nearest pairs, cheapest first (Edahiro's multi-merge);
@@ -830,33 +776,13 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
                   });
 
         if (pre_plans) {
+            auto& pairs = s.kernel_pairs;
+            pairs.resize(cands.size());
+            for (std::size_t k = 0; k < cands.size(); ++k)
+                pairs[k] = {cands[k].a, cands[k].b};
             s.round_plans.assign(cands.size(), std::nullopt);
-            if (batch_on) {
-                auto& pairs = s.kernel_pairs;
-                pairs.resize(cands.size());
-                for (std::size_t k = 0; k < cands.size(); ++k)
-                    pairs[k] = {cands[k].a, cands[k].b};
-                const std::size_t chunks =
-                    (cands.size() + kplan_lanes - 1) / kplan_lanes;
-                s.kernel_fb.assign(chunks, 0);
-                auto& fb = s.kernel_fb;
-                run_indexed(exec, chunks, [&](std::size_t c) {
-                    const std::size_t lo = c * kplan_lanes;
-                    const std::size_t n =
-                        std::min(kplan_lanes, cands.size() - lo);
-                    fb[c] = solve_plan_batch(solver, t, pairs.data() + lo, n,
-                                             s.round_plans.data() + lo);
-                });
-                int total_fb = 0;
-                for (const int f : fb) total_fb += f;
-                st.kernel_fallbacks += total_fb;
-                st.batch_planned +=
-                    static_cast<int>(cands.size()) - total_fb;
-            } else {
-                run_indexed(exec, cands.size(), [&](std::size_t k) {
-                    s.round_plans[k] = solver.plan(t, cands[k].a, cands[k].b);
-                });
-            }
+            solve_chunks(solver, t, exec, pairs, s.round_plans.data(),
+                         s.kernel_fb, st);
         }
 
         bool merged_any = false;

@@ -19,8 +19,14 @@
 /// The hot path is sub-quadratic by construction:
 ///   * nearest-neighbour queries go through a uniform spatial grid over the
 ///     arc boxes (grid_index; ring expansion with the arc-distance lower
-///     bound), with the exact linear scan (nn_index) selectable as a
-///     verification backend via `engine_options::backend`;
+///     bound over the packed-arc SoA kernels), with the exact linear scan
+///     (nn_index) selectable as a verification backend via
+///     `engine_options::backend`; a root that takes part in no banned pair
+///     queries with no ban probe at all;
+///   * ledger-free plan solves go through the SoA batch kernels
+///     (plan_kernels.hpp, DESIGN.md §11), which bounce the rare
+///     general-path lane to `merge_solver::plan`; ledger-backed solvers
+///     call `plan()` directly;
 ///   * the cheapest pair is popped from a global lazy-deletion min-heap
 ///     keyed by the distance lower bound (re-keyed with cached true plan
 ///     cost); per-node generation counters invalidate stale entries instead
@@ -80,20 +86,6 @@ struct engine_options {
     /// disabling reverts to pure arc-distance ordering (ablation knob).
     bool true_cost_ordering = true;
     nn_backend backend = nn_backend::grid;
-    /// Merge-plan solve kernel (DESIGN.md §11).  `batch` routes plan()
-    /// solves through the SoA batch kernels of plan_kernels.hpp — window
-    /// check, split search and arc-box merge of up to kplan_lanes
-    /// independent pairs from one instruction stream, with lanes needing
-    /// the rare general path (empty first window, ledger modes) falling
-    /// back to the scalar solver — and switches the grid backend's NN
-    /// queries to the batched gather/distance kernels over reusable
-    /// scratch.  Trees and every pre-existing statistic are bit-identical
-    /// to `scalar` across backends, thread counts, speculate_k and shard
-    /// counts; only wall-clock and the kernel counters below
-    /// (batch_planned, kernel_fallbacks, nn_scratch_reuses) move.
-    /// Ledger-backed solvers run scalar regardless (their plans read
-    /// offsets that commits bind, so no lane qualifies anyway).
-    plan_kernel kernel = plan_kernel::batch;
     /// Optional worker pool for multi-merge rounds (non-owning; null runs
     /// sequentially).  Each round's nearest-neighbour queries fan out, and
     /// so do the plan() calls when the solver carries no offset ledger
@@ -171,16 +163,11 @@ struct engine_stats {
     int speculated_plans = 0;     ///< plans dispatched ahead of selection
     int speculative_hits = 0;     ///< speculated plans later consumed
     int wasted_speculation = 0;   ///< speculated plans never consumed
-    // Batch-kernel accounting (engine_options::kernel == batch only; all
-    // zero under the scalar kernel).  Excluded from the bit-identity
-    // contract — they describe *how* plans were solved, not what was
-    // solved.
+    // Plan-kernel accounting (DESIGN.md §11; ledger-free solvers only, all
+    // zero for ledger-backed ones, which plan() directly).  They describe
+    // *how* plans were solved, not what was solved.
     int batch_planned = 0;     ///< plans solved by the SoA fast path
     int kernel_fallbacks = 0;  ///< lanes bounced to the scalar solver
-    /// Batched NN queries that found warm gather capacity in the
-    /// engine_scratch buffers (grid backend; the per-query allocation
-    /// they replaced was the old ring-expansion cost).
-    long long nn_scratch_reuses = 0;
     /// Sub-reductions of the sharded path (0 = monolithic reduce).  Set by
     /// the shard driver, which folds every shard's counters into one stats
     /// block with `accumulate` — each shard writes its own block, so the
@@ -209,7 +196,6 @@ struct engine_stats {
         wasted_speculation += o.wasted_speculation;
         batch_planned += o.batch_planned;
         kernel_fallbacks += o.kernel_fallbacks;
-        nn_scratch_reuses += o.nn_scratch_reuses;
         shards += o.shards;
     }
 };
@@ -220,7 +206,7 @@ struct engine_stats {
 /// accumulate() above — lint.py cross-checks the field list against the
 /// fold — and the expected size here is updated.  Counters must never be
 /// able to dodge the shard/service accounting silently.
-static_assert(sizeof(engine_stats) == 96,
+static_assert(sizeof(engine_stats) == 88,
               "engine_stats changed: fold the new field in accumulate(), "
               "add it to the tools/lint.py field list check, then update "
               "this size lock");

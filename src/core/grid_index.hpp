@@ -91,63 +91,28 @@ class grid_index {
 
     /// Nearest active root to `id` by arc distance, skipping `id` itself
     /// and banned partners; identical contract (including id tie-breaks) to
-    /// nn_index::nearest_if.
+    /// nn_index::nearest_if.  The ring walk reads the contiguous cell-slab
+    /// mirror and hands each cell's candidate run to the fused SoA kernel
+    /// `batch_arc_nearest` (DESIGN.md §11), which computes the gaps over
+    /// the packed-arc mirror and folds the running best in the same pass;
+    /// a spilled cell (population past the slab's inline capacity) hands
+    /// over its authoritative cell vector instead.  Bit-identical to the
+    /// linear scan:
+    ///  * the walk visits every cell of each ring; within a cell the
+    ///    candidate *order* may differ from the vector's, but the fold is
+    ///    a strict lexicographic min over (distance, id) — visit-order
+    ///    independent — and the post-ring best that drives the ring-bound
+    ///    early exit is that same min, so termination is exact too;
+    ///  * the ban check runs only for candidates that would improve the
+    ///    running best — equivalent to checking every candidate, since a
+    ///    banned candidate never updates the best;
+    ///  * the kernel's branchless gap is bit-identical to `interval::gap`
+    ///    (see plan_kernels.hpp).
     template <class Banned>
     [[nodiscard]] std::optional<std::pair<topo::node_id, double>> nearest_if(
         topo::node_id id, Banned banned) const {
-        const geom::tilted_rect& arc = tree_->node(id).arc;
-        const cell_range q = range_of(arc);
-        topo::node_id best = topo::knull_node;
-        double best_d = std::numeric_limits<double>::infinity();
-        const auto consider = [&](topo::node_id other) {
-            if (other == id) return;
-            if (banned(pair_key(id, other))) return;
-            const double d = arc.distance(tree_->node(other).arc);
-            if (d < best_d || (d == best_d && other < best)) {
-                best_d = d;
-                best = other;
-            }
-        };
-        const int max_ring = max_ring_from(q);
-        for (int r = 0; r <= max_ring; ++r) {
-            if (best != topo::knull_node &&
-                static_cast<double>(r - 1) * cell_ > best_d)
-                break;  // ring lower bound beats every remaining candidate
-            visit_ring(q, r, consider);
-        }
-        if (best == topo::knull_node) return std::nullopt;
-        return std::make_pair(best, best_d);
-    }
-
-    /// Batched variant of nearest_if (DESIGN.md §11): the ring walk reads
-    /// the contiguous cell-slab mirror and hands each cell's candidate
-    /// run to the fused SoA kernel `batch_arc_nearest`, which computes
-    /// the gaps over the packed-arc mirror and folds the running best in
-    /// the same pass — no per-candidate materialisation at all for
-    /// inline cells; spilled cells (population past the slab's inline
-    /// capacity) are first compacted into the caller's scratch so the
-    /// kernel still consumes one dense id run.  Bit-identical to
-    /// nearest_if:
-    ///  * the walk visits exactly the scalar walk's ring sets (the slab
-    ///    mirrors cell membership); within a ring the candidate *order*
-    ///    may differ from the cell vectors', but the fold is a strict
-    ///    lexicographic min over (distance, id) — visit-order independent
-    ///    — and the post-ring best that drives the ring-bound early exit
-    ///    is that same min, so termination matches too;
-    ///  * the ban check runs only for candidates that would improve the
-    ///    running best — equivalent to checking every candidate, since a
-    ///    banned candidate never updates the best in either scheme (and
-    ///    the predicate itself reads nothing bans could change);
-    ///  * the kernel's branchless gap is bit-identical to
-    ///    `interval::gap` (see plan_kernels.hpp).
-    template <class Banned>
-    [[nodiscard]] std::optional<std::pair<topo::node_id, double>>
-    nearest_if_batched(topo::node_id id, Banned banned,
-                       nn_query_scratch& scratch) const {
-        if (scratch.ids.capacity() != 0) ++scratch.reuses;
-        const geom::tilted_rect& arc = tree_->node(id).arc;
         const packed_arc q = arcs_[static_cast<std::size_t>(id)];
-        const cell_range qr = range_of(arc);
+        const cell_range qr = range_of(tree_->node(id).arc);
         topo::node_id best = topo::knull_node;
         double best_d = std::numeric_limits<double>::infinity();
         const int max_ring = max_ring_from(qr);
@@ -157,56 +122,43 @@ class grid_index {
                 break;  // ring lower bound beats every remaining candidate
             visit_ring_cells(qr, r, [&](std::size_t c) {
                 const slab_cell& sc = slab_[c];
-                if (sc.n <= slab_cell::kinline) {
+                if (sc.n <= slab_cell::kinline)
                     batch_arc_nearest(arcs_.data(), sc.ids, sc.n, q, id,
                                       banned, best, best_d);
-                } else {
-                    scratch.ids.clear();
-                    for (topo::node_id o : cells_[c])
-                        scratch.ids.push_back(o);
-                    batch_arc_nearest(arcs_.data(), scratch.ids.data(),
-                                      scratch.ids.size(), q, id, banned,
-                                      best, best_d);
-                }
+                else
+                    batch_arc_nearest(arcs_.data(), cells_[c].data(),
+                                      cells_[c].size(), q, id, banned, best,
+                                      best_d);
             });
         }
         if (best == topo::knull_node) return std::nullopt;
         return std::make_pair(best, best_d);
     }
 
-    /// Invoke `fn(id)` for every active root registered in a cell within
+    /// Invoke `fn(id, d)` for every active root registered in a cell within
     /// `radius` of `rect`'s covered range — a superset of the roots whose
-    /// arc lies within `radius` of `rect`.  Ids touching several cells are
-    /// reported once per cell; callers must be idempotent.
+    /// arc lies within `radius` of `rect` — where `d` is the arc distance
+    /// of the candidate to `rect`, computed per cell by the SoA kernel
+    /// `batch_arc_for_each` (the gap is symmetric bitwise, so it matches a
+    /// scalar `candidate.distance(rect)`).  Ids touching several cells are
+    /// reported once per cell, and per-cell order follows the slab, so
+    /// callers must be idempotent and visit-order independent (the
+    /// engine's strict-`<` NN fold is both).
     template <class Fn>
     void for_each_within(const geom::tilted_rect& rect, double radius,
                          Fn fn) const {
         const cell_range q = range_of(rect.expanded(std::max(radius, 0.0)));
+        const packed_arc pr = packed_arc::of(rect);
         for (int cv = q.v0; cv <= q.v1; ++cv)
-            for (int cu = q.u0; cu <= q.u1; ++cu)
-                for (topo::node_id id : cells_[cell_at(cu, cv)]) fn(id);
-    }
-
-    /// Batched for_each_within: the same candidate multiset as the scalar
-    /// walk (gathered from the cell-slab mirror, so per-cell order may
-    /// differ — callers' folds must be visit-order independent as well as
-    /// idempotent, which the engine's strict-`<` NN fold is), and
-    /// `fn(id, d)` additionally receives the arc distance of `rect` to
-    /// the candidate, computed by the SoA kernel (the gap is symmetric
-    /// bitwise, so either orientation matches a scalar
-    /// `candidate.distance(rect)`).  Duplicates are reported once per
-    /// cell, distances included.
-    template <class Fn>
-    void for_each_within_batched(const geom::tilted_rect& rect, double radius,
-                                 nn_query_scratch& scratch, Fn fn) const {
-        if (scratch.ids.capacity() != 0) ++scratch.reuses;
-        const cell_range q = range_of(rect.expanded(std::max(radius, 0.0)));
-        scratch.ids.clear();
-        for (int cv = q.v0; cv <= q.v1; ++cv)
-            for (int cu = q.u0; cu <= q.u1; ++cu)
-                gather_cell(cell_at(cu, cv), topo::knull_node, scratch.ids);
-        batch_arc_for_each(arcs_.data(), scratch.ids.data(),
-                           scratch.ids.size(), packed_arc::of(rect), fn);
+            for (int cu = q.u0; cu <= q.u1; ++cu) {
+                const std::size_t c = cell_at(cu, cv);
+                const slab_cell& sc = slab_[c];
+                if (sc.n <= slab_cell::kinline)
+                    batch_arc_for_each(arcs_.data(), sc.ids, sc.n, pr, fn);
+                else
+                    batch_arc_for_each(arcs_.data(), cells_[c].data(),
+                                       cells_[c].size(), pr, fn);
+            }
     }
 
   private:
@@ -219,7 +171,7 @@ class grid_index {
         int u0 = 0, u1 = 0, v0 = 0, v1 = 0;
     };
 
-    /// Contiguous per-cell occupancy record for the batched gather
+    /// Contiguous per-cell occupancy record for the SoA queries
     /// (DESIGN.md §11): one 32-byte slot per cell — the population count
     /// and up to kinline inline ids.  A ring row reads these slots
     /// sequentially instead of chasing every cell vector's heap
@@ -227,12 +179,12 @@ class grid_index {
     /// cell spends most of its time.  A cell whose population exceeds
     /// kinline (border-cell clamping can pile escaped arcs up) is
     /// *spilled*: `n` keeps the true count, the inline ids stop being
-    /// authoritative, and the gather falls back to the cell vector; an
+    /// authoritative, and the queries read the cell vector instead; an
     /// erase that brings the cell back to kinline refills the inline ids
-    /// from the vector.  Swap-pop erases permute the inline order, so
-    /// slab gathers may report a cell's ids in a different order than
-    /// the vectors — only folds that are order-independent (the batched
-    /// queries' lexicographic-min and strict-`<` folds) may read it.
+    /// from the vector.  Swap-pop erases permute the inline order, so the
+    /// slab may list a cell's ids in a different order than the vector —
+    /// only order-independent folds (the queries' lexicographic-min and
+    /// the engine's strict-`<` fold-in) may read it.
     struct slab_cell {
         static constexpr std::uint32_t kinline = 7;
         std::uint32_t n = 0;          ///< true population of the cell
@@ -272,21 +224,6 @@ class grid_index {
     [[nodiscard]] cell_range range_of(const geom::tilted_rect& r) const;
     [[nodiscard]] int max_ring_from(const cell_range& q) const;
 
-    /// Gather the ids registered in cell `c` into `out`, skipping `self`
-    /// (pass knull_node to keep everything): inline from the slab record,
-    /// or from the authoritative cell vector when the cell is spilled.
-    void gather_cell(std::size_t c, topo::node_id self,
-                     std::vector<topo::node_id>& out) const {
-        const slab_cell& sc = slab_[c];
-        if (sc.n <= slab_cell::kinline) {
-            for (std::uint32_t k = 0; k < sc.n; ++k)
-                if (sc.ids[k] != self) out.push_back(sc.ids[k]);
-        } else {
-            for (topo::node_id id : cells_[c])
-                if (id != self) out.push_back(id);
-        }
-    }
-
     /// Apply `fn` to the index of every cell at Chebyshev cell distance
     /// exactly `r` from range `q` (ring 0 is the range itself).
     template <class Fn>
@@ -310,16 +247,6 @@ class grid_index {
             if (u0 >= 0) fn(cell_at(u0, cv));
             if (u1 < nu_) fn(cell_at(u1, cv));
         }
-    }
-
-    /// Apply `fn` to every candidate in the cells at Chebyshev cell
-    /// distance exactly `r` from range `q` (ring 0 is the range itself).
-    /// Reads the authoritative cell vectors — the scalar (seed) path.
-    template <class Fn>
-    void visit_ring(const cell_range& q, int r, Fn fn) const {
-        visit_ring_cells(q, r, [&](std::size_t c) {
-            for (topo::node_id id : cells_[c]) fn(id);
-        });
     }
 
     const topo::clock_tree* tree_;

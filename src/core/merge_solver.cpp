@@ -1,5 +1,6 @@
 #include "core/merge_solver.hpp"
 
+#include "core/solver_detail.hpp"
 #include "rc/solve.hpp"
 
 #include <algorithm>
@@ -11,16 +12,9 @@ namespace astclk::core {
 
 namespace {
 
-constexpr double klen_eps = 1e-9;    // layout units; die is ~1e5 units
-constexpr double kdelay_eps = 1e-21; // seconds; ~1e-9 ps, far below reporting
-
-/// Feasible window for the delay difference D = e(beta, C_b) - e(alpha, C_a)
-/// imposed by one shared group with intervals a (A side), b (B side):
-/// merged spread <= bound  <=>  D in [a.hi - b.lo - bound, bound + a.lo - b.hi].
-geom::interval group_window(const geom::interval& a, const geom::interval& b,
-                            double bound) {
-    return {a.hi - b.lo - bound, bound + a.lo - b.hi};
-}
+using detail::group_window;
+using detail::kdelay_eps;
+using detail::klen_eps;
 
 /// Mutable copy of both sides' electrical state during planning.
 struct working_state {

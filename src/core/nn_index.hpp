@@ -20,9 +20,10 @@
 ///  * `nearest_if(id, banned)` returns the nearest active root by arc
 ///    distance with deterministic id tie-breaks (`other < best` on equal
 ///    distance), skipping `id` itself and banned partners;
-///  * `for_each_within(rect, radius, fn)` enumerates a superset of the
-///    active roots whose arc lies within `radius` of `rect` (the linear
-///    backend simply enumerates everything — admissible, just unpruned).
+///  * `for_each_within(rect, radius, fn)` calls `fn(id, d)` for a superset
+///    of the active roots whose arc lies within `radius` of `rect`, with
+///    `d` the candidate's arc distance to `rect` (the linear backend
+///    simply enumerates everything — admissible, just unpruned).
 ///
 /// The banned predicate is a template parameter so the hot loop inlines it;
 /// no std::function indirection on the merge path.
@@ -30,7 +31,6 @@
 #include "topo/tree.hpp"
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -133,21 +133,15 @@ class nn_index {
         return std::make_pair(best, best_d);
     }
 
-    /// Compatibility wrapper for callers holding a (possibly empty)
-    /// std::function; the engine uses nearest_if directly.
-    [[nodiscard]] std::optional<std::pair<topo::node_id, double>> nearest(
-        topo::node_id id,
-        const std::function<bool(std::uint64_t)>& banned) const {
-        if (!banned) return nearest_if(id, no_bans{});
-        return nearest_if(id, [&](std::uint64_t k) { return banned(k); });
-    }
-
-    /// Invoke `fn(id)` for every active root whose arc could lie within
-    /// `radius` of `rect`.  The linear backend enumerates every active root
-    /// (a trivially admissible superset); the grid backend prunes by cells.
+    /// Invoke `fn(id, d)` for every active root whose arc could lie within
+    /// `radius` of `rect`, `d` being its arc distance to `rect`.  The
+    /// linear backend enumerates every active root (a trivially admissible
+    /// superset); the grid backend prunes by cells.
     template <class Fn>
-    void for_each_within(const geom::tilted_rect&, double, Fn fn) const {
-        for (topo::node_id other : set_.items()) fn(other);
+    void for_each_within(const geom::tilted_rect& rect, double,
+                         Fn fn) const {
+        for (topo::node_id other : set_.items())
+            fn(other, tree_->node(other).arc.distance(rect));
     }
 
   private:

@@ -1,5 +1,6 @@
 #include "core/plan_kernels.hpp"
 
+#include "core/solver_detail.hpp"
 #include "rc/solve.hpp"
 
 #include <algorithm>
@@ -13,20 +14,11 @@ namespace astclk::core {
 
 namespace {
 
-// Kept in sync with merge_solver.cpp (the private constants of the scalar
-// solver): the fast path must evaluate the very same guards.
-constexpr double klen_eps = 1e-9;    // layout units; die is ~1e5 units
-constexpr double kdelay_eps = 1e-21; // seconds; far below reporting
-
-/// Verbatim copy of the scalar solver's per-group window (merge_solver.cpp
-/// group_window): merged spread <= bound  <=>
-/// D in [a.hi - b.lo - bound, bound + a.lo - b.hi].  The expression order
-/// matters — FP addition is not associative, and the fast path must
-/// produce the scalar window bit-for-bit.
-geom::interval group_window(const geom::interval& a, const geom::interval& b,
-                            double bound) {
-    return {a.hi - b.lo - bound, bound + a.lo - b.hi};
-}
+// The scalar solver's own guards and window (solver_detail.hpp): the fast
+// path must evaluate the very same definitions.
+using detail::group_window;
+using detail::kdelay_eps;
+using detail::klen_eps;
 
 /// Branch-free select: `c ? a : b` as a bitwise blend of the IEEE-754
 /// representations.  Selecting between two already-computed doubles is
@@ -73,12 +65,11 @@ template <bool kelmore>
                      const double* oa_hi, const double* ob_lo,
                      const double* ob_hi, const bool* tern, double* ts,
                      double* te) {
-    constexpr double keps = 1e-9;  // == klen_eps
     for (int it = 0; it < 80; ++it) {
         unsigned any = 0;
         for (std::size_t j = 0; j < nl; ++j) {
             const double w = te[j] - ts[j];
-            const bool act = tern[j] & (w > keps);
+            const bool act = tern[j] & (w > klen_eps);
             any |= static_cast<unsigned>(act);
             const double m1 = ts[j] + w / 3.0;
             const double m2 = te[j] - w / 3.0;

@@ -12,11 +12,12 @@
 /// This layer solves 4-8 independent merge plans per call from one
 /// instruction stream:
 ///
-///  1. **Distance lower bounds** (`batch_arc_distance`): the tilted-space
-///     L-infinity gap of many candidate arc boxes against one query box,
-///     over a cache-dense `packed_arc` mirror (32 bytes per arc vs the
-///     ~200-byte `tree_node` stride) — consumed by `grid_index` ring
-///     expansion and the engine's post-commit fold-in.
+///  1. **Distance lower bounds** (`batch_arc_nearest`,
+///     `batch_arc_for_each`): the tilted-space L-infinity gap of many
+///     candidate arc boxes against one query box, over a cache-dense
+///     `packed_arc` mirror (32 bytes per arc vs the ~200-byte `tree_node`
+///     stride) — the grid backend's ring expansion and post-commit
+///     fold-in.
 ///  2. **Skew-feasibility / window checks**: the per-group delay windows
 ///     of each lane intersected by an allocation-free two-pointer walk
 ///     over both sorted delay maps (same ascending order, same
@@ -35,18 +36,19 @@
 /// **Bit-identity contract.**  For every lane the fast path evaluates the
 /// *same* floating-point expressions, in the same order, as
 /// `merge_solver::plan` (the interval/tilted_rect/delay_model primitives
-/// are inline header functions, so both paths compile the same
-/// arithmetic).  The fast path engages only when the lane's first window
-/// intersection is non-empty in `windowed` mode — precisely the case
-/// where the scalar solver breaks out of its conflict loop without
-/// touching the working state, so reading the node delay maps in place
-/// (no copies) is exact.  Every other lane — unsatisfiable windows
-/// (interior-snake repair or rejection), ledger-backed modes — falls
-/// back to the scalar `plan()` verbatim.  Trees and engine statistics
-/// are therefore bit-identical to `plan_kernel::scalar` across NN
-/// backends, thread counts, speculate_k and shard counts; only
-/// wall-clock and the kernel counters (`engine_stats::batch_planned`,
-/// `kernel_fallbacks`, `nn_scratch_reuses`) move.
+/// are inline header functions, and the solver constants live in
+/// solver_detail.hpp, so both paths compile the same arithmetic).  The
+/// fast path engages only when the lane's first window intersection is
+/// non-empty in `windowed` mode — precisely the case where the scalar
+/// solver breaks out of its conflict loop without touching the working
+/// state, so reading the node delay maps in place (no copies) is exact.
+/// Every other lane — unsatisfiable windows (interior-snake repair or
+/// rejection), ledger-backed modes — falls back to the scalar `plan()`
+/// verbatim.  The engine dispatches every ledger-free solve through this
+/// layer and every ledger-backed one straight to `plan()`; the counters
+/// `engine_stats::batch_planned` and `kernel_fallbacks` book which path
+/// solved each lane.  `plan()` stays the oracle the kernel tests compare
+/// against (tests/test_plan_kernels.cpp).
 ///
 /// The loops are plain portable SoA code — no intrinsics; the
 /// autovectorizer does what the target allows (see the `ASTCLK_NATIVE`
@@ -59,15 +61,8 @@
 #include <cstddef>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace astclk::core {
-
-/// Merge-plan solve kernel selection (engine_options::kernel).
-enum class plan_kernel {
-    scalar,  ///< per-pair merge_solver::plan (the reference path)
-    batch,   ///< SoA batch kernels with scalar fallback (this file)
-};
 
 /// The dispatch grain of the batch layer: callers (the engine's
 /// speculative drain, the shard planner) hand work to the executor in
@@ -98,22 +93,9 @@ struct packed_arc {
     }
 };
 
-/// Reusable gather buffers for batched NN queries (candidate ids and
-/// their distances), owned by engine_scratch so the hot ring-expansion
-/// path stops allocating per query.  `reuses` counts the queries that
-/// found warm capacity (engine_stats::nn_scratch_reuses).
-struct nn_query_scratch {
-    std::vector<topo::node_id> ids;
-    std::vector<double> dist;
-    long long reuses = 0;
-
-    /// Start-of-run reset: drops the counter, keeps the capacity (that
-    /// capacity carrying over between runs is the whole point).
-    void reset() { reuses = 0; }
-};
-
-/// Kernel 1: tilted-space distance lower bounds of `n` candidate arcs
-/// (gathered from `arcs` by id) against the query box `q`.
+/// Kernel 1 for the ring expansion's argmin: the tilted-space gap of `n`
+/// candidate arcs (gathered from `arcs` by id) against the query box `q`,
+/// folded straight into the running lexicographic-min `(best_d, best)`.
 ///
 /// The per-axis gap is computed branchlessly as
 /// `max(0, max(o.lo - hi, lo - o.hi))`, which is bit-identical to the
@@ -124,31 +106,13 @@ struct nn_query_scratch {
 /// result.  The gap is symmetric in the same way (the two branches swap),
 /// so query-vs-candidate and candidate-vs-query orientations agree
 /// bitwise.
-inline void batch_arc_distance(const packed_arc* arcs,
-                               const topo::node_id* ids, std::size_t n,
-                               const packed_arc& q, double* out) {
-    const double qul = q.u_lo, quh = q.u_hi;
-    const double qvl = q.v_lo, qvh = q.v_hi;
-    for (std::size_t k = 0; k < n; ++k) {
-        const packed_arc& a = arcs[static_cast<std::size_t>(ids[k])];
-        const double gu =
-            std::max(0.0, std::max(a.u_lo - quh, qul - a.u_hi));
-        const double gv =
-            std::max(0.0, std::max(a.v_lo - qvh, qvl - a.v_hi));
-        out[k] = std::max(gu, gv);
-    }
-}
-
-/// Fused variant of kernel 1 for the ring expansion's argmin: the same
-/// branchless gap per candidate, folded straight into the running
-/// lexicographic-min `(best_d, best)` instead of materialising a distance
-/// array the caller immediately reduces.  `center` is skipped (a query
-/// never partners itself) and `banned` is consulted only for candidates
-/// that would improve the running best — a banned candidate never updates
-/// the best either way, so the fused fold computes exactly the min the
-/// two-pass scheme does, one pass earlier.  The min over a candidate
-/// multiset is visit-order independent, so callers may present candidates
-/// in any order (the slab gather does).
+///
+/// `center` is skipped (a query never partners itself) and `banned` is
+/// consulted only for candidates that would improve the running best — a
+/// banned candidate never updates the best either way, so this computes
+/// exactly the min of a check-every-candidate scan.  The min over a
+/// candidate multiset is visit-order independent, so callers may present
+/// candidates in any order (the slab cells do).
 template <class Banned>
 inline void batch_arc_nearest(const packed_arc* arcs,
                               const topo::node_id* ids, std::size_t n,
@@ -174,10 +138,8 @@ inline void batch_arc_nearest(const packed_arc* arcs,
     }
 }
 
-/// Fused variant of kernel 1 for the post-commit fold-in: gap per
-/// candidate, handed to `fn(id, d)` in place instead of a distance
-/// array.  Same arithmetic, same candidate sequence as
-/// batch_arc_distance over the same ids.
+/// Kernel 1 for the post-commit fold-in: the same gap per candidate,
+/// handed to `fn(id, d)` in candidate order.
 template <class Fn>
 inline void batch_arc_for_each(const packed_arc* arcs,
                                const topo::node_id* ids, std::size_t n,

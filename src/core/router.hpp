@@ -132,12 +132,15 @@ enum class ast_mode {
 struct router_options {
     rc::delay_model model = rc::delay_model::elmore();
     /// Engine knobs, forwarded to every reduce run of the route: merge
-    /// order, true-cost re-keying, the nearest-neighbour backend
-    /// (`engine.backend` — grid by default, `nn_backend::linear` for the
-    /// exact-scan verification backend) and the speculative pipeline
-    /// (`engine.speculate_k`, `engine.plan_cache` — top-k plan() overlap
-    /// and the cross-step plan memo, DESIGN.md §3).  Every configuration
-    /// produces identical trees; the knobs move wall-clock only.
+    /// order, true-cost re-keying, sharding (`engine.shards`, DESIGN.md
+    /// §4), the nearest-neighbour backend (`engine.backend` — grid by
+    /// default, `nn_backend::linear` for the exact-scan verification
+    /// backend) and the speculative pipeline (`engine.speculate_k`,
+    /// `engine.plan_cache` — top-k plan() overlap and the cross-step plan
+    /// memo, DESIGN.md §3).  The backend and the speculative pipeline move
+    /// wall-clock only; trees are identical under every setting of them.
+    /// How plans are solved is not a knob: ledger-free solves always run
+    /// the SoA batch kernels (DESIGN.md §11).
     engine_options engine;
     /// AST only: ordering bias (layout units) deferring merges that would
     /// bind two inter-group offset components (see merge_solver).

@@ -160,11 +160,10 @@ route_result sharded_route(const topo::instance& inst,
 
     // Per-shard engine configuration: the shard is the unit of
     // parallelism, so shard reduces run sequentially (no nested executor,
-    // hence no speculation) and never re-shard.  The plan-kernel knob
-    // (engine_options::kernel) rides along in the copy — each shard
-    // sub-reduce is a full dispatch site for the SoA batch kernels, and
-    // since lane math is per-plan independent the sharded trees stay
-    // bit-identical to scalar-kernel runs for every shard count.  When
+    // hence no speculation) and never re-shard.  Each shard sub-reduce is
+    // a full dispatch site for the SoA batch plan kernels, whose lane
+    // math is per-plan independent, so shard trees do not depend on how
+    // the shards are scheduled.  When
     // the shard loop fans out, the cancel probe is dropped from the shard
     // tokens — probes are test instrumentation counted on the driving
     // thread only — while the flag/deadline checks stay live at every

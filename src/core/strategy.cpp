@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
 
 namespace astclk::core {
 
@@ -78,17 +79,25 @@ route_result route(const routing_request& req, routing_context& ctx) {
     const auto t0 = std::chrono::steady_clock::now();
     route_result res;
     const cancel_token& tok = req.options.engine.cancel;
+    // Validation boundary: the engine indexes per-group state by group id
+    // and trusts every coordinate and cap, so a malformed instance never
+    // reaches a strategy.  It comes back as a non-retryable `error`
+    // carrying the problem, whoever built it (parser, generator or code).
+    const std::string problem = req.instance->validate();
     // Checkpoint zero: a token that already fired (cancelled before claim,
     // zero/expired deadline) reports its status without entering the
     // strategy — no leaves, no scratch lease, no reduce.  This is also the
     // `dispatch` fault site: index 0 asks the plan for its per-site
     // occurrence counter, so scheduled dispatch faults index by attempt.
-    const route_status pre = tok.armed()
-                                 ? tok.poll_at(fault_site::dispatch, 0)
-                                 : route_status::ok;
+    const route_status pre =
+        !problem.empty() ? route_status::error
+        : tok.armed()    ? tok.poll_at(fault_site::dispatch, 0)
+                         : route_status::ok;
     if (pre != route_status::ok) {
         res.status = pre;
-        res.status_message = status_message_for(pre);
+        res.status_message = problem.empty()
+                                 ? status_message_for(pre)
+                                 : "invalid instance: " + problem;
     } else {
         try {
             res = fn(req, ctx);

@@ -105,7 +105,10 @@ class strategy_registry {
     std::vector<entry> entries_;
 };
 
-/// Route one request against a shared context.  Dispatches through the
+/// Route one request against a shared context.  The instance is checked
+/// first (`topo::instance::validate`): an invalid one returns
+/// `route_status::error` with the problem in `status_message` and never
+/// reaches a strategy.  Dispatches through the
 /// registry, then records `cpu_seconds` (wall clock of the strategy body)
 /// and `threads_used` (executor concurrency, 1 when sequential) — the one
 /// place timing is measured, identical for direct and batched calls.

@@ -83,7 +83,8 @@ topo::instance read_instance(std::istream& is) {
         }
     }
 
-    inst.sinks.reserve(n_sinks);
+    // No reserve(n_sinks): the count is untrusted input, and a huge one
+    // would throw bad_alloc before the missing sink lines are noticed.
     for (std::size_t i = 0; i < n_sinks; ++i) {
         if (!next_line(is, line, line_no))
             parse_error(line_no, "expected more sink lines");

@@ -46,8 +46,10 @@ struct instance {
         return out;
     }
 
-    /// Validates group ids, capacitances and coordinates; returns a
-    /// human-readable problem description or the empty string when valid.
+    /// Validates group ids (in range, every group non-empty), capacitances
+    /// (finite, non-negative) and coordinates (finite, sinks and source);
+    /// returns a human-readable problem description or the empty string
+    /// when valid.
     [[nodiscard]] std::string validate() const;
 };
 

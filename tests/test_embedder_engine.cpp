@@ -29,7 +29,7 @@ TEST(NnIndex, FindsNearestByArcDistance) {
     clock_tree t;
     nn_index idx(&t);
     for (int i = 0; i < 4; ++i) idx.insert(t.add_leaf(inst, i));
-    const auto nn = idx.nearest(0, nullptr);
+    const auto nn = idx.nearest_if(0, no_bans{});
     ASSERT_TRUE(nn.has_value());
     EXPECT_EQ(nn->first, 2);  // (3,1) at distance 4
     EXPECT_DOUBLE_EQ(nn->second, 4.0);
@@ -45,11 +45,11 @@ TEST(NnIndex, RespectsBansAndErasure) {
     nn_index idx(&t);
     for (int i = 0; i < 3; ++i) idx.insert(t.add_leaf(inst, i));
     const auto banned = [](std::uint64_t k) { return k == pair_key(0, 1); };
-    const auto nn = idx.nearest(0, banned);
+    const auto nn = idx.nearest_if(0, banned);
     ASSERT_TRUE(nn.has_value());
     EXPECT_EQ(nn->first, 2);  // 1 is banned
     idx.erase(2);
-    const auto nn2 = idx.nearest(0, banned);
+    const auto nn2 = idx.nearest_if(0, banned);
     EXPECT_FALSE(nn2.has_value());  // everyone banned or gone
     EXPECT_EQ(idx.size(), 2u);
 }

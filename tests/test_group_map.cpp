@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace astclk::topo {
 namespace {
 
@@ -129,6 +131,32 @@ TEST(Instance, ValidateCatchesProblems) {
     inst.sinks[1].cap = 1e-15;
     inst.num_groups = 2;  // group 1 has no members
     EXPECT_NE(inst.validate(), "");
+}
+
+TEST(Instance, ValidateRejectsNonFiniteValues) {
+    instance inst;
+    inst.sinks = {{{0, 0}, 1e-15, 0}, {{1, 1}, 1e-15, 0}};
+    ASSERT_EQ(inst.validate(), "");
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+
+    inst.sinks[1].cap = nan;  // NaN passes a `cap < 0` check
+    EXPECT_NE(inst.validate(), "");
+    inst.sinks[1].cap = inf;
+    EXPECT_NE(inst.validate(), "");
+    inst.sinks[1].cap = 1e-15;
+
+    inst.sinks[1].loc.x = nan;
+    EXPECT_NE(inst.validate(), "");
+    inst.sinks[1].loc.x = 1.0;
+    inst.sinks[1].loc.y = -inf;
+    EXPECT_NE(inst.validate(), "");
+    inst.sinks[1].loc.y = 1.0;
+
+    inst.source.x = inf;
+    EXPECT_NE(inst.validate(), "");
+    inst.source.x = 0.0;
+    EXPECT_EQ(inst.validate(), "");
 }
 
 TEST(Instance, GroupMembers) {

@@ -61,6 +61,15 @@ TEST(InstanceIo, RejectsInvalidInstance) {
     EXPECT_THROW(read_instance(ss), std::runtime_error);
 }
 
+TEST(InstanceIo, HugeSinkCountIsAParseErrorNotAnAllocation) {
+    // The header count is untrusted: it must not be reserved up front
+    // (a bad_alloc would surface as a retryable fault), only consumed.
+    std::stringstream ss;
+    ss << "astclk-instance v1\nname t\ndie 10 10\nsource 5 5\ngroups 1\n"
+       << "sinks 99999999999999\n1 1 1e-15 0\n";
+    EXPECT_THROW(read_instance(ss), std::runtime_error);
+}
+
 TEST(InstanceIo, RejectsUnknownHeaderKey) {
     std::stringstream ss("astclk-instance v1\nfrobnicate 3\n");
     EXPECT_THROW(read_instance(ss), std::runtime_error);

@@ -291,6 +291,25 @@ TEST(RouteService, ErrorInOneRequestIsIsolatedWithStatus) {
     expect_same_route(got[2], direct_call(reqs[2]), "isolated[2]");
 }
 
+TEST(RouteService, InvalidInstanceIsNeitherRetriedNorDegraded) {
+    auto inst = small_instance(60, 4, 55, true);
+    inst.sinks[7].group = 9;  // out of range for num_groups == 4
+    routing_request req;
+    req.instance = &inst;
+    submit_options sub;
+    sub.retry.max_attempts = 3;
+    sub.degrade.enabled = true;
+    service_options sopt;
+    sopt.threads = 2;
+    route_service svc(sopt);
+    const route_result r = svc.submit(req, sub).wait();
+    EXPECT_EQ(r.status, route_status::error);
+    EXPECT_EQ(r.attempts, 1);
+    EXPECT_EQ(r.degradation.rung, degrade_rung::none);
+    EXPECT_NE(r.status_message.find("invalid instance"), std::string::npos)
+        << r.status_message;
+}
+
 TEST(RouteService, ScratchAndInstanceReuseAreBitIdentical) {
     gen::instance_spec spec = gen::paper_spec("r1");
     spec.num_sinks = 80;

@@ -3,11 +3,15 @@
 // determinism, engine statistics, and cross-router relationships.
 
 #include "core/router.hpp"
+#include "core/strategy.hpp"
 #include "eval/report.hpp"
 #include "gen/grouping.hpp"
 #include "gen/instance_gen.hpp"
 
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <string>
 
 namespace astclk::core {
 namespace {
@@ -144,6 +148,39 @@ TEST(Routers, TwoSinkInstanceMatchesHandMath) {
     EXPECT_NEAR(r.wirelength, 100.0, 1e-6);
     const auto ev = eval::evaluate(r.tree, inst, opt.model);
     EXPECT_LT(rc::to_ps(ev.global_skew), 1e-6);
+}
+
+TEST(Routers, InvalidInstanceIsRejectedBeforeTheEngine) {
+    // An out-of-range group id used to reach the offset ledger (a heap
+    // overflow under ASan); route() now validates first and answers with
+    // a typed error for every strategy and AST mode.
+    auto inst = gen::generate(gen::paper_spec("r1"));
+    gen::apply_intermingled_groups(inst, 4, 1);
+    inst.sinks[7].group = 9;
+    for (const strategy_id s :
+         {strategy_id::ast_dme, strategy_id::zst_dme, strategy_id::ext_bst,
+          strategy_id::separate_stitch}) {
+        for (const ast_mode m : {ast_mode::automatic, ast_mode::windowed,
+                                 ast_mode::soft_ledger,
+                                 ast_mode::exact_ledger}) {
+            routing_request req;
+            req.instance = &inst;
+            req.strategy = s;
+            req.mode = m;
+            const route_result r = route(req);
+            EXPECT_EQ(r.status, route_status::error);
+            EXPECT_NE(r.status_message.find("group 9"), std::string::npos)
+                << r.status_message;
+            EXPECT_EQ(r.tree.size(), 0u);
+            EXPECT_EQ(r.stats.merges, 0);
+        }
+    }
+    // Non-finite input is rejected at the same boundary.
+    inst.sinks[7].group = 0;
+    inst.sinks[3].cap = std::numeric_limits<double>::quiet_NaN();
+    routing_request req;
+    req.instance = &inst;
+    EXPECT_EQ(route(req).status, route_status::error);
 }
 
 TEST(Routers, MultiMergeOrderProducesValidTrees) {
