@@ -57,11 +57,13 @@ struct perf_record {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
-    /// Plan-cache / speculation rates (nearest_pair series only, zero
-    /// elsewhere): hits / lookups and wasted / dispatched of the engine's
-    /// speculative pipeline (engine_stats counters).
-    double cache_hit_rate = 0.0;
-    double wasted_spec_rate = 0.0;
+    /// plan_batch:t1 only (zero elsewhere): the fraction of plans the SoA
+    /// fast path solved, 1 - fallbacks / solves.
+    double fast_path_ratio = 0.0;
+    /// Gated seconds rows only (zero elsewhere): the median over
+    /// repetitions of (repetition time / calibration-kernel time measured
+    /// just before it) — micro_perf.cpp rep_calibration, DESIGN.md §9.
+    double calib_ratio = 0.0;
 };
 
 /// Nearest-rank percentile of an ascending-sorted sample (q in [0, 1]);
@@ -94,8 +96,8 @@ inline double percentile_sorted(const std::vector<double>& sorted_xs,
             << ", \"wirelength\": " << r.wirelength
             << ", \"p50\": " << r.p50 << ", \"p95\": " << r.p95
             << ", \"p99\": " << r.p99
-            << ", \"cache_hit_rate\": " << r.cache_hit_rate
-            << ", \"wasted_spec_rate\": " << r.wasted_spec_rate << "}"
+            << ", \"fast_path_ratio\": " << r.fast_path_ratio
+            << ", \"calib_ratio\": " << r.calib_ratio << "}"
             << (i + 1 < records.size() ? "," : "") << "\n";
     }
     out << "]\n";

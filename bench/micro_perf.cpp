@@ -12,7 +12,10 @@
 // BENCH_micro_perf.json (per-n wall-clock, merges/sec, latency
 // percentiles, backend tag) so future PRs can track the perf trajectory
 // (bench/perf_diff.py gates the engine benches and the streamed p95
-// against the committed baseline).
+// against the committed baseline).  Every gated seconds row also times
+// the calibration kernel before each repetition and records the median
+// per-repetition ratio (rep_calibration below), which perf_diff gates in
+// place of the raw wall-clock.
 //
 // Usage:  micro_perf [--quick] [output.json]
 //   --quick   cap the sweep at n=512 and shrink the batch (CI smoke)
@@ -39,78 +42,114 @@ const char* tag(core::nn_backend be) {
     return be == core::nn_backend::grid ? "grid" : "linear";
 }
 
-/// Time one engine.reduce run (the optimised subsystem in isolation).
-bench::perf_record bench_reduce(const topo::instance& inst,
-                                core::nn_backend be, int reps) {
+/// The r1-spec sweep instance at `n` sinks, `groups` intermingled skew
+/// groups (grouping seed 1).
+topo::instance sweep_instance(int n, int groups) {
+    gen::instance_spec spec = gen::paper_spec("r1");
+    spec.num_sinks = n;
+    auto inst = gen::generate(spec);
+    gen::apply_intermingled_groups(inst, groups, 1);
+    return inst;
+}
+
+/// Time one zero-skew engine.reduce of `inst` on backend `be`, reusing
+/// `scratch` when given; the run's merge count goes to `merges`.
+double reduce_once(const topo::instance& inst, core::nn_backend be,
+                   int& merges, core::engine_scratch* scratch = nullptr) {
     core::engine_options eopt;
     eopt.backend = be;
     const core::merge_solver solver(rc::delay_model::elmore(),
                                     core::skew_spec::zero());
     const core::bottom_up_engine engine(solver, eopt);
+    topo::clock_tree t;
+    auto roots = core::detail::make_leaves(inst, t, false);
+    core::engine_stats st;
+    const auto t0 = std::chrono::steady_clock::now();
+    engine.reduce(t, std::move(roots), &st, scratch);
+    const double secs = now_diff(t0);
+    merges = st.merges;
+    return secs;
+}
+
+/// Per-repetition calibration of one gated seconds row (DESIGN.md §9).
+/// The calibration kernel — the linear-backend reduce of the n=512 sweep
+/// instance, i.e. one repetition of the engine_reduce:linear row that
+/// perf_diff's global calibration reads — runs right before every
+/// repetition of the row, and the row keeps the median over repetitions
+/// of (repetition time / kernel time).  The two halves of each ratio run
+/// milliseconds apart, so on a host whose speed drifts in multi-second
+/// phases each ratio divides out the phase its own repetition met.  A
+/// null kernel instance leaves the row uncalibrated (calib_ratio 0).
+class rep_calibration {
+  public:
+    explicit rep_calibration(const topo::instance* kernel) : kernel_(kernel) {}
+
+    /// Time the kernel; call right before the repetition.
+    void before() {
+        int merges = 0;
+        if (kernel_ != nullptr)
+            last_ = reduce_once(*kernel_, core::nn_backend::linear, merges);
+    }
+    /// Record the repetition's `secs` against the kernel time just taken.
+    void after(double secs) {
+        if (kernel_ != nullptr && last_ > 0.0) ratios_.push_back(secs / last_);
+    }
+    /// The median ratio (0 when uncalibrated).
+    [[nodiscard]] double median() {
+        if (ratios_.empty()) return 0.0;
+        std::sort(ratios_.begin(), ratios_.end());
+        const std::size_t m = ratios_.size() / 2;
+        return ratios_.size() % 2 != 0 ? ratios_[m]
+                                       : 0.5 * (ratios_[m - 1] + ratios_[m]);
+    }
+
+  private:
+    const topo::instance* kernel_;
+    double last_ = 0.0;
+    std::vector<double> ratios_;
+};
+
+/// Time one engine.reduce run (the optimised subsystem in isolation).
+bench::perf_record bench_reduce(const topo::instance& inst,
+                                core::nn_backend be, int reps,
+                                const topo::instance* calib) {
     bench::perf_record rec;
     rec.bench = "engine_reduce";
     rec.backend = tag(be);
     rec.n = static_cast<int>(inst.sinks.size());
     rec.seconds = std::numeric_limits<double>::infinity();
+    rep_calibration cal(calib);
     for (int rep = 0; rep < reps; ++rep) {
-        topo::clock_tree t;
-        auto roots = core::detail::make_leaves(inst, t, false);
-        core::engine_stats st;
-        const auto t0 = std::chrono::steady_clock::now();
-        engine.reduce(t, std::move(roots), &st);
-        rec.seconds = std::min(rec.seconds, now_diff(t0));
-        rec.merges = st.merges;
+        cal.before();
+        const double secs = reduce_once(inst, be, rec.merges);
+        cal.after(secs);
+        rec.seconds = std::min(rec.seconds, secs);
     }
+    rec.calib_ratio = cal.median();
     rec.merges_per_sec =
         rec.seconds > 0.0 ? static_cast<double>(rec.merges) / rec.seconds : 0.0;
     return rec;
 }
 
-/// The speculative nearest-pair pipeline in isolation: one engine.reduce
-/// at a given worker-thread count and speculate_k, grid backend.  The
-/// backend tag encodes the configuration ("t1", "t1s4", "thw", "thws16",
-/// ...) so perf_diff can gate the plain single-thread series
-/// (nearest_pair:t1) while the speculative ones ride along as info.
-/// cache-hit and wasted-speculation rates come from the engine counters
-/// (deterministic, so any repetition reports the same rates).
-bench::perf_record bench_nearest_pair(const topo::instance& inst, int threads,
-                                      int speculate_k, int reps) {
-    core::engine_options eopt;
-    eopt.backend = core::nn_backend::grid;
-    eopt.speculate_k = speculate_k;
-    std::unique_ptr<core::thread_pool> pool;
-    if (threads > 1) {
-        pool = std::make_unique<core::thread_pool>(threads);
-        eopt.executor = pool.get();
-    }
-    const core::merge_solver solver(rc::delay_model::elmore(),
-                                    core::skew_spec::zero());
-    const core::bottom_up_engine engine(solver, eopt);
+/// The nearest-pair reduce on one thread with a reused engine scratch,
+/// grid backend — the gated nearest_pair:t1 series.
+bench::perf_record bench_nearest_pair(const topo::instance& inst, int reps,
+                                      const topo::instance* calib) {
     bench::perf_record rec;
     rec.bench = "nearest_pair";
-    rec.backend = (threads > 1 ? "thw" : "t1");
-    if (speculate_k > 0) rec.backend += "s" + std::to_string(speculate_k);
+    rec.backend = "t1";
     rec.n = static_cast<int>(inst.sinks.size());
     rec.seconds = std::numeric_limits<double>::infinity();
     core::engine_scratch scratch;
+    rep_calibration cal(calib);
     for (int rep = 0; rep < reps; ++rep) {
-        topo::clock_tree t;
-        auto roots = core::detail::make_leaves(inst, t, false);
-        core::engine_stats st;
-        const auto t0 = std::chrono::steady_clock::now();
-        engine.reduce(t, std::move(roots), &st, &scratch);
-        rec.seconds = std::min(rec.seconds, now_diff(t0));
-        rec.merges = st.merges;
-        const int lookups = st.plan_cache_hits + st.plan_cache_misses;
-        rec.cache_hit_rate =
-            lookups > 0 ? static_cast<double>(st.plan_cache_hits) / lookups
-                        : 0.0;
-        rec.wasted_spec_rate =
-            st.speculated_plans > 0
-                ? static_cast<double>(st.wasted_speculation) /
-                      st.speculated_plans
-                : 0.0;
+        cal.before();
+        const double secs =
+            reduce_once(inst, core::nn_backend::grid, rec.merges, &scratch);
+        cal.after(secs);
+        rec.seconds = std::min(rec.seconds, secs);
     }
+    rec.calib_ratio = cal.median();
     rec.merges_per_sec =
         rec.seconds > 0.0 ? static_cast<double>(rec.merges) / rec.seconds : 0.0;
     return rec;
@@ -151,20 +190,23 @@ plan_stream make_plan_stream(const topo::instance& inst,
 /// the per-pair reference solver.plan() loop.  The t1-vs-scalar ratio at
 /// the largest n is the headline batch-kernel speedup (plans are
 /// bit-identical either way — tests/test_plan_kernels.cpp asserts that;
-/// this series measures only the wall-clock the kernels buy).  The t1 row's cache_hit_rate field
-/// carries the fast-path fraction 1 - fallbacks/solves, proving the
+/// this series measures only the wall-clock the kernels buy).  The t1
+/// row's fast_path_ratio carries 1 - fallbacks/solves, proving the
 /// kernels engaged rather than bouncing to the scalar path wholesale.
 bench::perf_record bench_plan_batch(const plan_stream& ps,
                                     const core::merge_solver& solver,
-                                    bool batched, int n, int reps) {
+                                    bool batched, int n, int reps,
+                                    const topo::instance* calib) {
     bench::perf_record rec;
     rec.bench = "plan_batch";
     rec.backend = batched ? "t1" : "scalar";
     rec.n = n;
     rec.seconds = std::numeric_limits<double>::infinity();
     std::vector<std::optional<core::merge_plan>> out(ps.pairs.size());
+    rep_calibration cal(calib);
     for (int rep = 0; rep < reps; ++rep) {
         int fallbacks = 0;
+        cal.before();
         const auto t0 = std::chrono::steady_clock::now();
         if (batched) {
             fallbacks = core::solve_plan_batch(solver, ps.tree,
@@ -175,14 +217,15 @@ bench::perf_record bench_plan_batch(const plan_stream& ps,
                 out[i] = solver.plan(ps.tree, ps.pairs[i].first,
                                      ps.pairs[i].second);
         }
-        rec.seconds = std::min(rec.seconds, now_diff(t0));
+        const double secs = now_diff(t0);
+        cal.after(secs);
+        rec.seconds = std::min(rec.seconds, secs);
         rec.merges = static_cast<int>(ps.pairs.size());
-        rec.cache_hit_rate =
-            ps.pairs.empty()
-                ? 0.0
-                : 1.0 - static_cast<double>(fallbacks) /
-                            static_cast<double>(ps.pairs.size());
+        if (batched && !ps.pairs.empty())
+            rec.fast_path_ratio = 1.0 - static_cast<double>(fallbacks) /
+                                            static_cast<double>(ps.pairs.size());
     }
+    rec.calib_ratio = cal.median();
     rec.merges_per_sec =
         rec.seconds > 0.0 ? static_cast<double>(rec.merges) / rec.seconds : 0.0;
     return rec;
@@ -197,7 +240,8 @@ bench::perf_record bench_plan_batch(const plan_stream& ps,
 /// over a hardware-wide pool (info).  The per-row wirelength records the
 /// sharded-vs-monolithic quality delta alongside the wall-clocks.
 bench::perf_record bench_shard_reduce(const topo::instance& inst, int shards,
-                                      int threads, int reps) {
+                                      int threads, int reps,
+                                      const topo::instance* calib) {
     core::router_options opt;
     opt.engine.backend = core::nn_backend::grid;
     opt.engine.shards = shards;
@@ -211,12 +255,16 @@ bench::perf_record bench_shard_reduce(const topo::instance& inst, int shards,
     rec.backend = shards == 1 ? "mono" : (threads > 1 ? "thw" : "t1");
     rec.n = static_cast<int>(inst.sinks.size());
     rec.seconds = std::numeric_limits<double>::infinity();
+    rep_calibration cal(calib);
     for (int rep = 0; rep < reps; ++rep) {
+        cal.before();
         const auto r = core::route_zst_dme(inst, opt);
+        cal.after(r.cpu_seconds);
         rec.seconds = std::min(rec.seconds, r.cpu_seconds);
         rec.merges = r.stats.merges;
         rec.wirelength = r.wirelength;
     }
+    rec.calib_ratio = cal.median();
     rec.merges_per_sec =
         rec.seconds > 0.0 ? static_cast<double>(rec.merges) / rec.seconds : 0.0;
     return rec;
@@ -224,7 +272,8 @@ bench::perf_record bench_shard_reduce(const topo::instance& inst, int shards,
 
 /// Time a full windowed AST-DME route (embedding included).
 bench::perf_record bench_route(const topo::instance& inst,
-                               core::nn_backend be, int reps) {
+                               core::nn_backend be, int reps,
+                               const topo::instance* calib) {
     core::router_options opt;
     opt.engine.backend = be;
     bench::perf_record rec;
@@ -232,13 +281,17 @@ bench::perf_record bench_route(const topo::instance& inst,
     rec.backend = tag(be);
     rec.n = static_cast<int>(inst.sinks.size());
     rec.seconds = std::numeric_limits<double>::infinity();
+    rep_calibration cal(calib);
     for (int rep = 0; rep < reps; ++rep) {
+        cal.before();
         const auto r = core::route_ast_dme(inst, core::skew_spec::zero(), opt,
                                            core::ast_mode::windowed);
+        cal.after(r.cpu_seconds);
         rec.seconds = std::min(rec.seconds, r.cpu_seconds);
         rec.merges = r.stats.merges;
         rec.wirelength = r.wirelength;
     }
+    rec.calib_ratio = cal.median();
     rec.merges_per_sec =
         rec.seconds > 0.0 ? static_cast<double>(rec.merges) / rec.seconds : 0.0;
     return rec;
@@ -254,12 +307,14 @@ bench::perf_record bench_route(const topo::instance& inst,
 ///   "discard" — salvage off: the faulted attempt unwinds and a full
 ///               clean rerun recovers — the cost salvage avoids.
 bench::perf_record bench_degrade_salvage(const topo::instance& inst,
-                                         const std::string& mode, int reps) {
+                                         const std::string& mode, int reps,
+                                         const topo::instance* calib) {
     bench::perf_record rec;
     rec.bench = "degrade_salvage";
     rec.backend = mode;
     rec.n = static_cast<int>(inst.sinks.size());
     rec.seconds = std::numeric_limits<double>::infinity();
+    rep_calibration cal(calib);
     for (int rep = 0; rep < reps; ++rep) {
         core::routing_request req;
         req.instance = &inst;
@@ -273,6 +328,7 @@ bench::perf_record bench_degrade_salvage(const topo::instance& inst,
             req.options.engine.cancel.set_faults(&plan);
         }
         req.options.engine.salvage = mode == "salvage";
+        cal.before();
         const auto t0 = std::chrono::steady_clock::now();
         auto r = core::route(req);
         if (mode == "discard") {
@@ -288,6 +344,7 @@ bench::perf_record bench_degrade_salvage(const topo::instance& inst,
             r = core::route(rerun);  // recovery-by-rerun pays full price
         }
         const double secs = now_diff(t0);
+        cal.after(secs);
         if (!r.usable()) {
             std::cerr << "degrade_salvage " << mode << " row failed ("
                       << core::to_string(r.status)
@@ -300,6 +357,7 @@ bench::perf_record bench_degrade_salvage(const topo::instance& inst,
             rec.wirelength = r.wirelength;
         }
     }
+    rec.calib_ratio = cal.median();
     rec.merges_per_sec =
         rec.seconds > 0.0 ? static_cast<double>(rec.merges) / rec.seconds : 0.0;
     return rec;
@@ -447,17 +505,19 @@ int main(int argc, char** argv) {
                  "backend)\n\n";
     io::table t({"Bench", "n", "Backend", "Wall(s)", "Merges/s", "Speedup"});
     std::vector<bench::perf_record> records;
+    // The calibration kernel's instance (rep_calibration): the n=512 sweep
+    // instance, so the kernel is one repetition of the calibration row.
+    const topo::instance calib_inst = sweep_instance(512, 6);
+    const topo::instance* calib = &calib_inst;
 
     for (int n : sizes) {
-        gen::instance_spec spec = gen::paper_spec("r1");
-        spec.num_sinks = n;
-        auto inst = gen::generate(spec);
-        gen::apply_intermingled_groups(inst, 6, 1);
+        const topo::instance inst = sweep_instance(n, 6);
         const int reps = n >= 2048 ? 2 : 3;
 
         for (auto mk : {&bench_reduce, &bench_route}) {
-            const auto grid = mk(inst, core::nn_backend::grid, reps);
-            const auto lin = mk(inst, core::nn_backend::linear, reps);
+            const auto grid = mk(inst, core::nn_backend::grid, reps, calib);
+            const auto lin =
+                mk(inst, core::nn_backend::linear, reps, nullptr);
             const double speedup =
                 grid.seconds > 0.0 ? lin.seconds / grid.seconds : 0.0;
             t.add_row({grid.bench, std::to_string(grid.n), grid.backend,
@@ -472,46 +532,26 @@ int main(int argc, char** argv) {
         }
     }
 
-    // Speculative nearest-pair pipeline: reduce wall-clock across worker
-    // threads {1, hw} x speculate_k {0, 4, 16}.  The t1 rows with k > 0
-    // are deliberate no-op canaries: without an executor the knob must
-    // change nothing, so t1s4/t1s16 matching t1 (time and rates) is
-    // itself the asserted property — if speculation ever engaged on the
-    // sequential path, these rows would diverge and flag it.  The n=2048 series runs in
-    // quick mode too, so the committed full baseline always shares an n
-    // with the CI smoke run — and 2048 is deliberately the smallest size
-    // whose single-thread reduce (~10 ms) is long enough for the 20%
-    // nearest_pair:t1 gate to measure the engine instead of allocator
-    // warm-up noise.  perf_diff gates the plain
-    // single-thread series (nearest_pair:t1); on 1-core hardware the
-    // speculative series measure dispatch overhead, and the JSON carries
-    // the cache-hit / wasted-speculation rates that prove the pipeline
-    // engaged.
+    // Sequential nearest-pair reduce with a reused engine scratch (the
+    // gated nearest_pair:t1 series).  The n=2048 row runs in quick mode
+    // too, so the committed full baseline always shares an n with the CI
+    // smoke run — and 2048 is deliberately the smallest size whose
+    // single-thread reduce (~10 ms) is long enough for the 20% gate to
+    // measure the engine instead of allocator warm-up noise.
     {
         std::vector<int> np_sizes{2048};
         if (!quick) np_sizes.push_back(3101);
-        const int threads_hw = static_cast<int>(
-            std::max(2u, std::thread::hardware_concurrency()));
         for (const int n : np_sizes) {
-            gen::instance_spec spec = gen::paper_spec("r1");
-            spec.num_sinks = n;
-            auto inst = gen::generate(spec);
-            gen::apply_intermingled_groups(inst, 6, 1);
-            // More repetitions than the sweep benches: the t1 series is
-            // gated at 20% and a ~10 ms kernel needs a deeper best-of to
-            // keep scheduler noise out of the committed baseline.
+            const topo::instance inst = sweep_instance(n, 6);
+            // More repetitions than the sweep benches: the series is gated
+            // at 20% and a ~10 ms kernel needs a deeper best-of to keep
+            // scheduler noise out of the committed baseline.
             const int reps = n >= 3000 ? 3 : 7;
-            for (const int threads : {1, threads_hw}) {
-                for (const int k : {0, 4, 16}) {
-                    const auto rec =
-                        bench_nearest_pair(inst, threads, k, reps);
-                    t.add_row({rec.bench, std::to_string(rec.n), rec.backend,
-                               io::table::fixed(rec.seconds, 4),
-                               io::table::integer(rec.merges_per_sec),
-                               io::table::percent(rec.cache_hit_rate)});
-                    records.push_back(rec);
-                }
-            }
+            const auto rec = bench_nearest_pair(inst, reps, calib);
+            t.add_row({rec.bench, std::to_string(rec.n), rec.backend,
+                       io::table::fixed(rec.seconds, 4),
+                       io::table::integer(rec.merges_per_sec), "-"});
+            records.push_back(rec);
         }
     }
 
@@ -524,25 +564,22 @@ int main(int argc, char** argv) {
     // the batch row (plan_batch:t1) and reports the scalar reference
     // plus the batch-over-scalar speedup as info.  The speedup column
     // here IS the acceptance headline: batch must beat scalar >= 1.5x
-    // at the largest n.  The JSON's cache_hit_rate field carries the
+    // at the largest n.  The JSON's fast_path_ratio field carries the
     // fast-path fraction 1 - fallbacks/solves, proving the kernels
     // engaged rather than falling back wholesale.
     {
         std::vector<int> pb_sizes{2048};
         if (!quick) pb_sizes.push_back(3101);
         for (const int n : pb_sizes) {
-            gen::instance_spec spec = gen::paper_spec("r1");
-            spec.num_sinks = n;
-            auto inst = gen::generate(spec);
-            gen::apply_intermingled_groups(inst, 12, 1);
+            const topo::instance inst = sweep_instance(n, 12);
             const core::merge_solver solver(rc::delay_model::elmore(),
                                             core::skew_spec::uniform(2.0));
             const plan_stream ps = make_plan_stream(inst, solver);
             const int reps = n >= 3000 ? 9 : 11;
-            const auto batch =
-                bench_plan_batch(ps, solver, /*batched=*/true, n, reps);
-            const auto scalar =
-                bench_plan_batch(ps, solver, /*batched=*/false, n, reps);
+            const auto batch = bench_plan_batch(ps, solver, /*batched=*/true,
+                                                n, reps, calib);
+            const auto scalar = bench_plan_batch(
+                ps, solver, /*batched=*/false, n, reps, nullptr);
             const double speedup =
                 batch.seconds > 0.0 ? scalar.seconds / batch.seconds : 0.0;
             t.add_row({batch.bench, std::to_string(batch.n), batch.backend,
@@ -582,9 +619,10 @@ int main(int argc, char** argv) {
                                                 : gen::large_spec(c.name);
             const auto inst = gen::generate(spec);
             const int reps = inst.sinks.size() >= 20000 ? 2 : 3;
-            const auto mono = bench_shard_reduce(inst, 1, 1, reps);
-            const auto t1 = bench_shard_reduce(inst, 0, 1, reps);
-            const auto thw = bench_shard_reduce(inst, 0, threads_hw, reps);
+            const auto mono = bench_shard_reduce(inst, 1, 1, reps, nullptr);
+            const auto t1 = bench_shard_reduce(inst, 0, 1, reps, calib);
+            const auto thw =
+                bench_shard_reduce(inst, 0, threads_hw, reps, nullptr);
             const double speedup =
                 t1.seconds > 0.0 ? mono.seconds / t1.seconds : 0.0;
             t.add_row({t1.bench, std::to_string(t1.n), t1.backend,
@@ -625,9 +663,12 @@ int main(int argc, char** argv) {
     {
         const auto inst = gen::generate(gen::paper_spec("r5"));
         const int reps = quick ? 2 : 3;
-        const auto clean = bench_degrade_salvage(inst, "clean", reps);
-        const auto salvage = bench_degrade_salvage(inst, "salvage", reps);
-        const auto discard = bench_degrade_salvage(inst, "discard", reps);
+        const auto clean =
+            bench_degrade_salvage(inst, "clean", reps, nullptr);
+        const auto salvage =
+            bench_degrade_salvage(inst, "salvage", reps, calib);
+        const auto discard =
+            bench_degrade_salvage(inst, "discard", reps, nullptr);
         t.add_row({salvage.bench, std::to_string(salvage.n), salvage.backend,
                    io::table::fixed(salvage.seconds, 4),
                    io::table::integer(salvage.merges_per_sec),

@@ -5,19 +5,28 @@ baseline and fail on wall-clock (or latency-percentile) regression.
 For every gated series — "bench:backend" or "bench:backend:metric", the
 metric defaulting to "seconds" — present in both files, the largest common
 n is compared; a regression beyond --tolerance (default 20%) fails the
-run.  Because absolute wall-clock shifts with the machine, the current
-numbers are first calibrated by the linear-backend engine_reduce row (the
-linear NN scan plus the shared plan kernels, so a change to either must
-recommit the baseline): its runtime ratio baseline/current estimates the
-machine-speed factor, and the gated timings are scaled by it before
-comparison (every gated metric is a time, so the same factor applies).
+run.  Absolute wall-clock shifts with the machine, so the comparison is
+calibrated by the linear-backend engine_reduce reduce (the linear NN scan
+plus the shared plan kernels, so a change to either must recommit the
+baseline):
+
+  * Per-repetition (seconds rows that carry "calib_ratio" on both sides):
+    micro_perf timed that reduce at n=512 right before every repetition
+    of the row and stored the median of (repetition / kernel) times; the
+    gate compares current calib_ratio against baseline calib_ratio.  Each
+    ratio's halves ran milliseconds apart, so host-speed phases that last
+    seconds cancel out.
+  * Global (everything else, service_stream:t1:p95 included): the
+    engine_reduce:linear row's baseline/current time ratio estimates the
+    machine-speed factor, and the current value is scaled by it.
+
 Pass --no-calibrate for raw wall-clock.
 
 Gated by default: the engine benches, the streamed single-worker p95
 per-request latency (service_stream:t1:p95 — one worker keeps the series
-deterministic on any machine), the single-thread speculative-pipeline
-series (nearest_pair:t1 — the plain sequential path, so plan-cache and
-heap changes cannot regress 1-core hardware), and the single-thread
+deterministic on any machine), the single-thread nearest-pair reduce
+(nearest_pair:t1 — selection-heap and re-key changes cannot regress
+1-core hardware), and the single-thread
 sharded reduction (shard_reduce:t1 — auto shards on one thread, so the
 gate measures partition quality, not scheduling), and the salvage path
 of the resilience layer (degrade_salvage:salvage — recovering a faulted
@@ -26,13 +35,12 @@ the row includes a greedy shard rebuild), and the batched SoA plan
 kernels (plan_batch:t1 — solve_plan_batch replaying the nearest-pair
 reduce's accepted merge stream on one thread, so SoA layout or kernel
 changes cannot quietly give back the batching win).
-Multi-threaded service_batch / service_stream throughput, the
-speculative nearest_pair configurations, the fanned shard_reduce:thw
-series, the plan_batch scalar reference row and the degrade_salvage
-clean/discard rows are reported but not gated (batch scheduling,
-speculation overlap and shard fan-out depend on core count, not engine
-quality; the scalar row exists to compute the batch speedup).  Exit
-codes: 0 ok, 1 regression, 2 usage/missing data.
+Multi-threaded service_batch / service_stream throughput, the fanned
+shard_reduce:thw series, the plan_batch scalar reference row and the
+degrade_salvage clean/discard rows are reported but not gated (batch
+scheduling and shard fan-out depend on core count, not engine quality;
+the scalar row exists to compute the batch speedup).  Exit codes: 0 ok,
+1 regression, 2 usage/missing data.
 """
 
 import argparse
@@ -129,7 +137,17 @@ def main():
                   f"{bench}:{backend} on one side; skipped")
             continue
         compared += 1
-        c *= scale
+        b_cal = base[key][n].get("calib_ratio", 0)
+        c_cal = cur[key][n].get("calib_ratio", 0)
+        if (not args.no_calibrate and metric == "seconds" and b_cal > 0
+                and c_cal > 0):
+            # Per-repetition calibration: express the current row as its
+            # baseline time times the change in its calibrated ratio.
+            how = "per-rep calibrated"
+            c = b * c_cal / b_cal
+        else:
+            how = "raw" if args.no_calibrate else "calibrated"
+            c *= scale
         ratio = c / b if b > 0 else float("inf")
         verdict = "OK"
         if ratio > 1.0 + tolerance:
@@ -138,10 +156,10 @@ def main():
         elif ratio < 1.0 - tolerance:
             verdict = "improvement"
         print(f"{label} @ n={n}: baseline {b:.4f}s, current "
-              f"{c:.4f}s (calibrated), ratio {ratio:.2f} -> {verdict}")
+              f"{c:.4f}s ({how}), ratio {ratio:.2f} -> {verdict}")
 
-    # Informational: serving throughput/latency and the speculative
-    # nearest_pair configurations, never gated here.
+    # Informational: serving throughput/latency and the reference rows of
+    # the gated series, never gated here.
     for key in sorted(cur):
         if key[0] in ("service_batch", "service_stream"):
             n = max(cur[key])
@@ -153,14 +171,6 @@ def main():
             print(f"info {key[0]}:{key[1]} @ n={n}: "
                   f"{r['seconds']:.4f}s, {r['merges_per_sec']:.0f} "
                   f"merges/s{extra}")
-        elif key[0] == "nearest_pair" and key[1] != "t1":
-            # t1 is the gated series and already printed above.
-            n = max(cur[key])
-            r = cur[key][n]
-            print(f"info {key[0]}:{key[1]} @ n={n}: "
-                  f"{r['seconds']:.4f}s, cache hit rate "
-                  f"{r.get('cache_hit_rate', 0):.2%}, wasted speculation "
-                  f"{r.get('wasted_spec_rate', 0):.2%}")
         elif key[0] == "degrade_salvage" and key[1] != "salvage":
             # clean / discard ride as info; the headline is the recovery
             # speedup of salvage over discard-and-rerun, and the salvaged
@@ -191,7 +201,7 @@ def main():
             if t1 is not None and t1["seconds"] > 0:
                 extra += (f", batch speedup "
                           f"{r['seconds'] / t1['seconds']:.2f}x, fast-path "
-                          f"{t1.get('cache_hit_rate', 0):.2%}")
+                          f"{t1.get('fast_path_ratio', 0):.2%}")
             print(f"info {key[0]}:{key[1]} @ n={n}: "
                   f"{r['seconds']:.4f}s, {r['merges_per_sec']:.0f} "
                   f"merges/s{extra}")

@@ -5,25 +5,23 @@
 //
 //   $ ./route_cli INSTANCE [--algo ast|zst|bst|sep] [--bound PS]
 //                 [--mode auto|windowed|exact|soft] [--threads N]
-//                 [--deadline MS] [--speculate K] [--no-plan-cache]
-//                 [--shards K|auto] [--retries N] [--degrade]
-//                 [--fault-seed S] [--svg OUT.svg] [--json OUT.json]
+//                 [--deadline MS] [--shards K|auto] [--retries N]
+//                 [--degrade] [--fault-seed S] [--svg OUT.svg]
+//                 [--json OUT.json]
 //
 // --threads 0 (default) uses the hardware concurrency; multi-merge engine
 // rounds fan out across the pool, and results are bit-identical to
-// --threads 1.  --speculate K dispatches the top-K nearest-pair candidates'
-// plan() calls ahead of selection (needs >= 2 threads to engage;
-// bit-identical trees either way) and --no-plan-cache disables the
-// cross-step plan memo speculation lands in; the stats block reports the
-// cache and speculation counters, and the plan-kernel line how many plans
+// --threads 1.  The stats block's plan-kernel line reports how many plans
 // the SoA batch kernels solved and how many lanes fell back to the scalar
 // solver (DESIGN.md §11).  --shards K routes through the sharded
 // reduction (partition + parallel sub-reduce + associative stitch;
 // "auto" or 0 picks a count from the instance size and the thread pool,
 // 1 — the default — keeps the monolithic engine; ledger-backed AST modes
-// always reduce monolithically).  --deadline bounds the route's wall-clock: an expired
-// deadline stops the engine at the next merge-round checkpoint and the
-// run exits with status `deadline_exceeded`.
+// always reduce monolithically).  --deadline bounds the route's
+// wall-clock: an expired deadline stops the engine at the next
+// merge-round checkpoint and the run exits with status
+// `deadline_exceeded`.  An invalid --bound (NaN or negative) is rejected
+// as `invalid skew spec` before routing.
 //
 // Resilience (DESIGN.md §10): --retries N grants the request N total
 // attempts with bounded exponential backoff on transient faults;
@@ -59,9 +57,8 @@ int usage(const char* argv0) {
               << " INSTANCE [--algo ast|zst|bst|sep] [--bound PS]\n"
                  "          [--mode auto|windowed|exact|soft]"
                  " [--threads N] [--deadline MS]\n"
-                 "          [--speculate K] [--no-plan-cache]"
-                 " [--shards K|auto]\n"
-                 "          [--retries N] [--degrade] [--fault-seed S]\n"
+                 "          [--shards K|auto] [--retries N] [--degrade]"
+                 " [--fault-seed S]\n"
                  "          [--svg OUT.svg] [--json OUT.json]\n";
     return 2;
 }
@@ -77,8 +74,6 @@ int main(int argc, char** argv) {
     double bound_ps = 10.0;
     int threads = 0;
     double deadline_ms = 0.0;  // <= 0: none
-    int speculate_k = 0;
-    bool plan_cache = true;
     int shards = 1;
     int retries = 1;
     bool degrade = false;
@@ -102,10 +97,6 @@ int main(int argc, char** argv) {
             threads = std::atoi(need("--threads"));
         else if (a == "--deadline")
             deadline_ms = std::atof(need("--deadline"));
-        else if (a == "--speculate")
-            speculate_k = std::atoi(need("--speculate"));
-        else if (a == "--no-plan-cache")
-            plan_cache = false;
         else if (a == "--shards") {
             // Strict parse: a typo must not silently select a different
             // routing mode ("auto"/0 = heuristic, K >= 1 = fixed count).
@@ -151,8 +142,6 @@ int main(int argc, char** argv) {
 
     core::routing_request req;
     req.instance = &inst;
-    req.options.engine.speculate_k = speculate_k;
-    req.options.engine.plan_cache = plan_cache;
     req.options.engine.shards = shards;
     const auto id = core::strategy_registry::global().id_of(algo);
     if (!id.has_value()) return usage(argv[0]);
@@ -214,17 +203,6 @@ int main(int argc, char** argv) {
               << route.stats.root_snakes << " snaked, "
               << route.stats.interior_snakes << " interior snakes)\n";
     const auto& st = route.stats;
-    const int plan_lookups = st.plan_cache_hits + st.plan_cache_misses;
-    std::cout << "  plan cache      : " << st.plan_cache_hits << " hits / "
-              << st.plan_cache_misses << " misses";
-    if (plan_lookups > 0)
-        std::cout << " ("
-                  << static_cast<int>(100.0 * st.plan_cache_hits /
-                                      plan_lookups)
-                  << "% hit rate)";
-    std::cout << "\n  speculation     : " << st.speculated_plans
-              << " dispatched, " << st.speculative_hits << " consumed, "
-              << st.wasted_speculation << " wasted\n";
     std::cout << "  plan kernels    : " << st.batch_planned
               << " batch-planned, " << st.kernel_fallbacks
               << " fallbacks\n";

@@ -188,15 +188,6 @@ std::string verify_stats_books(const engine_stats& s) {
     if (s.rejected_pairs < 0) return bad("rejected_pairs", s.rejected_pairs);
     if (s.forced_merges < 0) return bad("forced_merges", s.forced_merges);
     if (s.rounds < 0) return bad("rounds", s.rounds);
-    if (s.plan_cache_hits < 0) return bad("plan_cache_hits", s.plan_cache_hits);
-    if (s.plan_cache_misses < 0)
-        return bad("plan_cache_misses", s.plan_cache_misses);
-    if (s.speculated_plans < 0)
-        return bad("speculated_plans", s.speculated_plans);
-    if (s.speculative_hits < 0)
-        return bad("speculative_hits", s.speculative_hits);
-    if (s.wasted_speculation < 0)
-        return bad("wasted_speculation", s.wasted_speculation);
     if (s.batch_planned < 0) return bad("batch_planned", s.batch_planned);
     if (s.kernel_fallbacks < 0)
         return bad("kernel_fallbacks", s.kernel_fallbacks);
@@ -210,20 +201,6 @@ std::string verify_stats_books(const engine_stats& s) {
     if (s.multi_shared_merges > s.shared_merges) {
         err << "multi_shared_merges " << s.multi_shared_merges
             << " exceeds shared_merges " << s.shared_merges;
-        return err.str();
-    }
-    if (s.speculative_hits > s.speculated_plans) {
-        err << "speculative_hits " << s.speculative_hits
-            << " exceeds speculated_plans " << s.speculated_plans;
-        return err.str();
-    }
-    // wasted is written once by finalize_stats (and summed by accumulate);
-    // mid-run it is still 0 — both states must close the books.
-    if (s.wasted_speculation != 0 &&
-        s.wasted_speculation != s.speculated_plans - s.speculative_hits) {
-        err << "speculation books do not close: wasted "
-            << s.wasted_speculation << " != dispatched " << s.speculated_plans
-            << " - consumed " << s.speculative_hits;
         return err.str();
     }
     if (s.worst_violation < 0.0) {
@@ -240,31 +217,6 @@ std::string verify_stats_books(const engine_stats& s) {
         return err.str();
     }
     return {};
-}
-
-std::string verify_plan_cache_generations(
-    const plan_cache& pc, const std::vector<std::uint32_t>& gen) {
-    std::ostringstream err;
-    std::string out;
-    pc.for_each([&](std::uint64_t key, const plan_cache::entry& e) {
-        if (!out.empty()) return;
-        const auto a = static_cast<std::size_t>(key >> 32);
-        const auto b = static_cast<std::size_t>(key & 0xffffffffu);
-        if (a >= gen.size() || b >= gen.size()) {
-            err << "plan-cache entry references unknown node (pair " << a
-                << ", " << b << "; " << gen.size() << " tracked)";
-            out = err.str();
-            return;
-        }
-        if (e.gen_a > gen[a] || e.gen_b > gen[b]) {
-            err << "plan-cache entry for pair (" << a << ", " << b
-                << ") stamped from the future: (" << e.gen_a << ", "
-                << e.gen_b << ") vs current (" << gen[a] << ", " << gen[b]
-                << ")";
-            out = err.str();
-        }
-    });
-    return out;
 }
 
 }  // namespace astclk::core::audit

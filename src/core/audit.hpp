@@ -6,7 +6,7 @@
 /// hooks that invoke them in `ASTCLK_AUDIT` builds.
 ///
 /// The engine's headline guarantees — bit-identical trees across thread
-/// counts, backends, speculate_k and shard counts; exact engine_stats
+/// counts, backends, merge orders and shard counts; exact engine_stats
 /// accounting across cancellation unwinds — are exactly the properties
 /// that races and forgotten-counter bugs break *silently*: the suite
 /// stays green until a scheduler wobble flips a tie-break.  These
@@ -33,7 +33,6 @@
 #include "core/dary_heap.hpp"
 #include "core/engine.hpp"
 #include "core/grid_index.hpp"
-#include "core/merge_solver.hpp"
 #include "topo/tree.hpp"
 
 #include <cstdint>
@@ -112,19 +111,9 @@ template <class Cmp, std::size_t D = kheap_arity, class T>
 
 /// Internal consistency of an engine_stats block (single run or
 /// accumulated): counters non-negative, the merge taxonomy sums
-/// (merges == disjoint + shared, multi-shared within shared), the
-/// speculation books close (hits never exceed dispatches; wasted is
-/// either still open at 0 or exactly dispatches - hits), and a recorded
-/// violation implies a forced merge.
+/// (merges == disjoint + shared, multi-shared within shared), and a
+/// recorded violation implies a forced merge.
 [[nodiscard]] std::string verify_stats_books(const engine_stats& s);
-
-/// Generation stamps of the plan cache against the engine's per-node
-/// generation counters: no entry may carry a stamp from the *future*
-/// (greater than the node's current generation), and every stamped node
-/// must exist in the counter vector.  Stale entries (stamp below current
-/// generation) are legal — they are misses by construction.
-[[nodiscard]] std::string verify_plan_cache_generations(
-    const plan_cache& pc, const std::vector<std::uint32_t>& gen);
 
 }  // namespace audit
 }  // namespace astclk::core

@@ -33,16 +33,6 @@ struct engine_scratch::impl {
         std::uint32_t gen;
     };
 
-    /// One speculative plan() job: a pair drained off the heap top, the
-    /// generation stamps taken at dispatch, and the slot its result is
-    /// written into (each job writes only its own slot — the determinism
-    /// rule of executor.hpp).
-    struct spec_job {
-        topo::node_id a, b;  ///< solve orientation: alpha goes to `a`
-        std::uint32_t gen_a, gen_b;
-        std::optional<merge_plan> plan;
-    };
-
     std::unordered_set<std::uint64_t> banned;
     /// id -> number of banned pairs the id participates in.  A pair can be
     /// banned only if *both* endpoints have nonzero degree, so the NN hot
@@ -51,7 +41,6 @@ struct engine_scratch::impl {
     /// ban_pair(); ids beyond the vector have degree zero by construction.
     std::vector<std::uint32_t> ban_deg;
     pair_cost_cache cost_cache;
-    plan_cache plans;  ///< generation-stamped cross-step plan memo
     std::vector<topo::node_id> nn_to;  ///< id -> current NN (knull: none)
     std::vector<double> nn_dist;       ///< id -> distance to nn_to
     std::vector<std::uint32_t> gen;    ///< id -> generation counter
@@ -59,19 +48,14 @@ struct engine_scratch::impl {
     std::unordered_set<topo::node_id> starved;    ///< all partners banned
     std::vector<sel_entry> heap;    ///< selection min-heap (4-ary, dary_heap)
     std::vector<rad_entry> radius;  ///< influence-radius max-heap (4-ary)
-    // Speculation buffers: the top-k entries drained for peeking and the
-    // plan jobs fanned out per step (reused across steps and runs).
-    std::vector<sel_entry> spec_peek;
-    std::vector<spec_job> spec_jobs;
-    // Multi-merge round buffers (slot-indexed NN records, pre-solved plans).
+    // Multi-merge round buffers: slot-indexed NN records, and the pairs,
+    // pre-solved plans and per-chunk fallback counts of the round's
+    // solve_plan_batch chunks (disjoint slots per chunk, so parallel
+    // chunks stay deterministic).
     std::vector<std::pair<topo::node_id, double>> round_nn;
+    std::vector<std::pair<topo::node_id, topo::node_id>> round_pairs;
     std::vector<std::optional<merge_plan>> round_plans;
-    // Plan-kernel buffers: the pair/result/fallback-count arrays the
-    // chunked solve_plan_batch dispatches write into (disjoint slots per
-    // chunk, so parallel chunks stay deterministic).
-    std::vector<std::pair<topo::node_id, topo::node_id>> kernel_pairs;
-    std::vector<std::optional<merge_plan>> kernel_out;
-    std::vector<int> kernel_fb;
+    std::vector<int> round_fb;
     // Per-step work lists reused across the run (integrate's affected
     // roots, pop_cheapest's equal-key losers): both are cleared before
     // use, so reuse only spares the per-call allocation.
@@ -83,15 +67,9 @@ struct engine_scratch::impl {
         banned.clear();
         ban_deg.clear();
         cost_cache.clear();
-        plans.clear();
         starved.clear();
         heap.clear();
         radius.clear();
-        spec_peek.clear();
-        spec_jobs.clear();
-        kernel_pairs.clear();
-        kernel_out.clear();
-        kernel_fb.clear();
         nn_to.assign(ids, topo::knull_node);
         nn_dist.assign(ids, 0.0);
         gen.assign(ids, 0);
@@ -188,30 +166,6 @@ std::optional<std::pair<topo::node_id, double>> nearest_unbanned(
     return idx.nearest_if(i, ban_table_fast{&s.banned, &s.ban_deg});
 }
 
-/// Solve `pairs` through the batch kernels in kplan_lanes chunks, fanned
-/// over `exec` when present (null runs inline).  Each chunk writes its
-/// plans into `out` and its fallback count into `fb` at disjoint slots, so
-/// the result is deterministic under any schedule.  Books the kernel
-/// counters.
-void solve_chunks(const merge_solver& solver, const topo::clock_tree& t,
-                  task_executor* exec,
-                  const std::vector<std::pair<topo::node_id, topo::node_id>>&
-                      pairs,
-                  std::optional<merge_plan>* out, std::vector<int>& fb,
-                  engine_stats& st) {
-    const std::size_t chunks = (pairs.size() + kplan_lanes - 1) / kplan_lanes;
-    fb.assign(chunks, 0);
-    run_indexed(exec, chunks, [&](std::size_t c) {
-        const std::size_t lo = c * kplan_lanes;
-        const std::size_t n = std::min(kplan_lanes, pairs.size() - lo);
-        fb[c] = solve_plan_batch(solver, t, pairs.data() + lo, n, out + lo);
-    });
-    int total_fb = 0;
-    for (const int f : fb) total_fb += f;
-    st.kernel_fallbacks += total_fb;
-    st.batch_planned += static_cast<int>(pairs.size()) - total_fb;
-}
-
 void note_plan(const merge_plan& p, double dist, engine_stats& st) {
     ++st.merges;
     if (p.shared_groups == 0)
@@ -266,12 +220,6 @@ class nearest_reducer {
                     topo::clock_tree& t, const std::vector<topo::node_id>& roots,
                     engine_stats& st, engine_scratch::impl& s)
         : solver_(solver), opt_(opt), t_(t), st_(st), s_(s), idx_(&t, roots),
-          // The plan cache (and with it speculation) requires ledger-free
-          // planning: ledger-backed plans read offsets that commits bind,
-          // so a memoised plan could go stale without a generation moving.
-          cache_on_(opt.plan_cache && solver.ledger() == nullptr),
-          spec_on_(cache_on_ && opt.speculate_k > 0 &&
-                   opt.executor != nullptr && opt.executor->concurrency() > 1),
           // The batch kernels' fast path requires ledger-free planning
           // (plan_kernels.hpp); a ledger-backed run would bounce every
           // lane anyway, so it calls plan() directly and keeps the kernel
@@ -288,20 +236,15 @@ class nearest_reducer {
         std::uint64_t audit_step = 0;
 #endif
         while (idx_.size() > 1) {
-            // The checkpoint precedes the speculative dispatch, so a fired
-            // token never fans out another plan batch; the batch below is a
-            // blocking parallel_for, so no plan() task can outlive the step
-            // that dispatched it — cancellation strands nothing.
             if (watched) {
                 if (const route_status rs =
                         opt_.cancel.poll_at(fault_site::selection, ++step);
                     rs != route_status::ok)
-                    interrupt(rs);
+                    throw route_interrupt(rs, st_);
             }
 #ifdef ASTCLK_AUDIT
             audit_checkpoint(++audit_step);
 #endif
-            if (spec_on_) speculate();
             const auto popped = pop_cheapest();
             if (!popped.has_value()) {
                 forced_step();
@@ -309,11 +252,10 @@ class nearest_reducer {
             }
             const auto [key, dist, a, b, gen, cached] = *popped;
             (void)gen;
-            auto plan = obtain_plan(a, b);
+            auto plan = solve_one(a, b);
             if (!plan.has_value()) {
                 ban_pair(s_, a, b);
                 ++st_.rejected_pairs;
-                release_plans(a, b);  // terminal: banned pairs never return
                 recompute(a);
                 recompute(b);
                 continue;
@@ -322,25 +264,17 @@ class nearest_reducer {
                 plan->order_cost > key + kcost_slack) {
                 // Lazy re-key: the true cost (snaking and any deferral bias
                 // included) exceeds the distance bound — another pair may
-                // now be cheaper.  The solved plan is memoised here — the
-                // re-keyed re-pop is the only consumer of an inline solve
-                // (committed and banned pairs are released immediately), so
-                // this is the one store the sequential path needs.
+                // now be cheaper.  Only the cost is kept; the plan is solved
+                // again if the pair is popped a second time (DESIGN.md §3).
                 s_.cost_cache.store(pair_key(a, b), plan->order_cost);
                 heap_push<sel_order>(
                     s_.heap, {plan->order_cost, dist, a, b, gen_at(a), true});
-                if (cache_on_)
-                    s_.plans.store(ordered_pair_key(a, b), gen_at(a),
-                                   gen_at(b), /*speculative=*/false,
-                                   std::move(plan));
                 continue;
             }
             const topo::node_id c = solver_.commit(t_, a, b, *plan);
             note_plan(*plan, dist, st_);
-            release_plans(a, b);  // terminal: merged roots leave the set
             integrate(a, b, c);
         }
-        finalize_stats();
         return idx_.active().front();
     }
 
@@ -360,10 +294,9 @@ class nearest_reducer {
 
 #ifdef ASTCLK_AUDIT
     /// Audit-build hook riding the selection checkpoint (DESIGN.md §12):
-    /// cheap structural checks every step — both scratch heaps ordered,
-    /// the stats books internally consistent, no plan-cache entry stamped
-    /// from the future — and the full grid-vs-live-set cross-check (which
-    /// walks every cell) every 64th step and on the first.
+    /// cheap structural checks every step — both scratch heaps ordered and
+    /// the stats books internally consistent — and the full grid-vs-live-set
+    /// cross-check (which walks every cell) every 64th step and on the first.
     void audit_checkpoint(std::uint64_t step) {
         audit::checkpoint("selection/heap",
                           audit::verify_heap_invariant<sel_order>(s_.heap));
@@ -371,9 +304,6 @@ class nearest_reducer {
             "selection/radius",
             audit::verify_heap_invariant<rad_order>(s_.radius));
         audit::checkpoint("selection/stats", audit::verify_stats_books(st_));
-        audit::checkpoint(
-            "selection/plan-cache",
-            audit::verify_plan_cache_generations(s_.plans, s_.gen));
         if constexpr (std::is_same_v<Index, grid_index>) {
             if (step % 64 == 1)
                 audit::checkpoint("selection/grid",
@@ -381,13 +311,6 @@ class nearest_reducer {
         }
     }
 #endif
-
-
-    /// Close the speculation books (wasted = dispatched − consumed); runs
-    /// once per reduce, at the normal end and before an interrupt unwinds.
-    void finalize_stats() {
-        st_.wasted_speculation = st_.speculated_plans - st_.speculative_hits;
-    }
 
     /// One plan solve: through the batch kernel for ledger-free solvers (a
     /// chunk of one: the SoA fast path still skips the scalar path's
@@ -401,103 +324,6 @@ class nearest_reducer {
         st_.kernel_fallbacks += fb;
         st_.batch_planned += 1 - fb;
         return plan;
-    }
-
-    [[noreturn]] void interrupt(route_status rs) {
-        finalize_stats();
-        throw route_interrupt(rs, st_);
-    }
-
-    /// Drop both orientations of a pair from the plan memo — called at the
-    /// pair's terminal event (commit or ban), after which it can never be
-    /// proposed again.  Keeps the memo's live population proportional to
-    /// the speculation in flight (wasted speculative entries for still-
-    /// active pairs linger until their own terminal event or run end)
-    /// rather than to the total merge count.
-    void release_plans(topo::node_id a, topo::node_id b) {
-        if (!cache_on_) return;
-        s_.plans.erase(ordered_pair_key(a, b));
-        s_.plans.erase(ordered_pair_key(b, a));
-    }
-
-    /// The plan for (a, b): served from the generation-stamped memo when
-    /// the stamps still match (speculative results and re-keyed survivors),
-    /// solved inline otherwise.  Inline solves are *not* stored here — a
-    /// popped pair either commits, gets banned (both terminal) or re-keys,
-    /// and only the re-key path can consult the memo again, so run() stores
-    /// exactly there and the hot loop skips a store+erase round trip per
-    /// merge.  Bit-identical to a direct plan() call: ledger-free plans
-    /// depend only on the two subtrees, which are immutable while both
-    /// roots are active, and stale stamps fall back to the inline solve.
-    std::optional<merge_plan> obtain_plan(topo::node_id a, topo::node_id b) {
-        if (!cache_on_) return solve_one(a, b);
-        const std::uint64_t key = ordered_pair_key(a, b);
-        if (plan_cache::entry* e = s_.plans.find(key, gen_at(a), gen_at(b))) {
-            ++st_.plan_cache_hits;
-            if (e->speculative && !e->consumed) ++st_.speculative_hits;
-            e->consumed = true;
-            return e->plan;  // copied: a re-keyed pair consults it twice
-        }
-        ++st_.plan_cache_misses;
-        return solve_one(a, b);
-    }
-
-    /// Speculative top-k planning: drain the k cheapest *live* entries off
-    /// the selection heap (an exact peek — stale entries met on the way
-    /// are dropped, which selection would do anyway), push them straight
-    /// back, and fan the plan() calls of every distinct pair that lacks a
-    /// live memo entry out over the executor.  The heap's multiset of live
-    /// entries is untouched and each job writes only its own slot, so the
-    /// subsequent pops — and therefore trees, stats and tie-breaks — are
-    /// bit-identical to the sequential engine; the only effect is that the
-    /// pops' obtain_plan() calls hit the memo instead of solving inline.
-    void speculate() {
-        auto& peek = s_.spec_peek;
-        auto& jobs = s_.spec_jobs;
-        peek.clear();
-        jobs.clear();
-        const auto k = static_cast<std::size_t>(opt_.speculate_k);
-        while (peek.size() < k && !s_.heap.empty()) {
-            const sel_entry e = s_.heap.front();
-            heap_pop<sel_order>(s_.heap);
-            if (e.gen != gen_at(e.a)) continue;  // stale: drop for good
-            peek.push_back(e);
-        }
-        for (const sel_entry& e : peek) heap_push<sel_order>(s_.heap, e);
-        for (const sel_entry& e : peek) {
-            // Jobs are keyed and solved in the entry's own (a, b)
-            // orientation — exactly the call the pop would make — because
-            // plans are orientation-sensitive (alpha goes to the first
-            // root); when both orientations of one pair are live, each
-            // gets its own entry.
-            const std::uint64_t key = ordered_pair_key(e.a, e.b);
-            if (s_.plans.find(key, gen_at(e.a), gen_at(e.b)) != nullptr)
-                continue;
-            bool queued = false;
-            for (const auto& j : jobs)
-                queued = queued || ordered_pair_key(j.a, j.b) == key;
-            if (queued) continue;
-            jobs.push_back({e.a, e.b, gen_at(e.a), gen_at(e.b),
-                            std::nullopt});
-        }
-        if (jobs.empty()) return;
-        // Speculation implies a ledger-free solver, so the jobs go through
-        // the batch kernels, chunk-parallel over the executor.
-        auto& pairs = s_.kernel_pairs;
-        auto& outs = s_.kernel_out;
-        pairs.resize(jobs.size());
-        outs.assign(jobs.size(), std::nullopt);
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            pairs[i] = {jobs[i].a, jobs[i].b};
-        solve_chunks(solver_, t_, opt_.executor, pairs, outs.data(),
-                     s_.kernel_fb, st_);
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            jobs[i].plan = std::move(outs[i]);
-        for (auto& j : jobs) {
-            s_.plans.store(ordered_pair_key(j.a, j.b), j.gen_a, j.gen_b,
-                           /*speculative=*/true, std::move(j.plan));
-            ++st_.speculated_plans;
-        }
     }
 
     /// Point i's nearest-neighbour record at (j, d); maintains the reverse
@@ -679,8 +505,6 @@ class nearest_reducer {
     engine_stats& st_;
     engine_scratch::impl& s_;
     Index idx_;
-    const bool cache_on_;  ///< plan memo enabled (knob on, ledger-free)
-    const bool spec_on_;   ///< top-k dispatch enabled (memo + wide executor)
     const bool batch_on_;  ///< SoA plan kernels (ledger-free solver)
 };
 
@@ -742,8 +566,8 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
                 throw route_interrupt(rs, st);
         }
 #ifdef ASTCLK_AUDIT
-        // Round checkpoint: the multi-merge path keeps no selection heap
-        // or plan memo, so the books are the auditable state here.
+        // Round checkpoint: the multi-merge path keeps no selection heap,
+        // so the books are the auditable state here.
         audit::checkpoint("round/stats", audit::verify_stats_books(st));
 #endif
         ++st.rounds;
@@ -776,13 +600,26 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
                   });
 
         if (pre_plans) {
-            auto& pairs = s.kernel_pairs;
+            auto& pairs = s.round_pairs;
             pairs.resize(cands.size());
             for (std::size_t k = 0; k < cands.size(); ++k)
                 pairs[k] = {cands[k].a, cands[k].b};
             s.round_plans.assign(cands.size(), std::nullopt);
-            solve_chunks(solver, t, exec, pairs, s.round_plans.data(),
-                         s.kernel_fb, st);
+            // kplan_lanes-wide chunks, each writing its plans and fallback
+            // count at disjoint slots: deterministic under any schedule.
+            const std::size_t chunks =
+                (pairs.size() + kplan_lanes - 1) / kplan_lanes;
+            s.round_fb.assign(chunks, 0);
+            run_indexed(exec, chunks, [&](std::size_t c) {
+                const std::size_t lo = c * kplan_lanes;
+                const std::size_t n = std::min(kplan_lanes, pairs.size() - lo);
+                s.round_fb[c] = solve_plan_batch(solver, t, pairs.data() + lo,
+                                                  n, s.round_plans.data() + lo);
+            });
+            int fb = 0;
+            for (const int f : s.round_fb) fb += f;
+            st.kernel_fallbacks += fb;
+            st.batch_planned += static_cast<int>(pairs.size()) - fb;
         }
 
         bool merged_any = false;

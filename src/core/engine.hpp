@@ -40,14 +40,11 @@
 ///     roots within the current nearest-neighbour influence radius — no
 ///     global recompute, in the forced-merge path included.
 ///
-/// The nearest-pair reduction additionally supports a *speculative
-/// pipeline* (DESIGN.md §3): each selection step drains the top-k live
-/// heap candidates, fans their plan() calls out over the executor before
-/// the pop, and memoises the results in a generation-stamped plan cache
-/// (merge_solver.hpp) so the subsequent pops commit from cached plans.
-/// Results are bit-identical to the sequential engine by construction —
-/// speculation only ever pre-computes plans the inline path would compute
-/// itself, and a stale stamp falls back to an inline solve.
+/// The nearest-pair reduction is one sequential loop — pop, solve, then
+/// commit, ban or re-key — because the greedy merge order makes every
+/// selection depend on the previous commit.  A re-keyed pair keeps only its
+/// true cost (pair_cost_cache) and is solved again if it is popped a second
+/// time (DESIGN.md §3).
 ///
 /// Pairs whose merge is infeasible (irreconcilable multi-group conflicts,
 /// Ch. V-E) are banned and re-proposed only if nothing else remains, in
@@ -93,27 +90,9 @@ struct engine_options {
     /// earlier commits of the same round bind).  The commit step is always
     /// sequential, so trees are bit-identical to single-threaded runs.
     task_executor* executor = nullptr;
-    /// Speculative top-k planning for the nearest-pair order: each
-    /// selection step peeks the k cheapest live heap candidates and fans
-    /// their plan() calls out over `executor` before the pop, keyed by
-    /// (pair, gen[a], gen[b]) in the plan cache; pops then commit from the
-    /// memoised plans, falling back to an inline solve on a stale stamp.
-    /// 0 disables speculation.  Only active with an executor of
-    /// concurrency > 1, a ledger-free solver (ledger-backed plans read
-    /// offsets that commits bind) and `plan_cache` on; trees and the
-    /// merge/rejection/forced statistics are bit-identical either way —
-    /// the knob moves wall-clock plus the cache/speculation counters
-    /// below, nothing else.
+    /// Ignored: nothing reads it.  Kept only because
+    /// benchmark/astbench.cpp still assigns it.
     int speculate_k = 0;
-    /// Cross-step plan cache: memoise solved plans stamped with both
-    /// roots' selection generations, so re-keyed survivors commit from the
-    /// memo instead of being re-solved (and speculative results have a
-    /// place to land).  Entries are dropped at their pair's commit or ban,
-    /// so the memo tracks in-flight work, not total merges.  Disabled
-    /// internally for ledger-backed solvers.  Trees and merge statistics
-    /// are bit-identical on or off; hit/miss counters land in
-    /// engine_stats.
-    bool plan_cache = true;
     /// Sharded reduction (DESIGN.md §4): split the initial roots into
     /// spatial shards, sub-reduce each independently (fanned over
     /// `executor` when present), then stitch the shard roots with the
@@ -156,13 +135,6 @@ struct engine_stats {
     int forced_merges = 0;        ///< minimax fallbacks (should stay 0)
     double worst_violation = 0.0; ///< residual skew excess of forced merges
     int rounds = 0;               ///< multi-merge rounds (if enabled)
-    // Plan-cache / speculation accounting (nearest-pair order only; all
-    // zero when the cache is off or the solver carries a ledger).
-    int plan_cache_hits = 0;      ///< selections served from the memo
-    int plan_cache_misses = 0;    ///< selections that solved inline
-    int speculated_plans = 0;     ///< plans dispatched ahead of selection
-    int speculative_hits = 0;     ///< speculated plans later consumed
-    int wasted_speculation = 0;   ///< speculated plans never consumed
     // Plan-kernel accounting (DESIGN.md §11; ledger-free solvers only, all
     // zero for ledger-backed ones, which plan() directly).  They describe
     // *how* plans were solved, not what was solved.
@@ -189,11 +161,6 @@ struct engine_stats {
         forced_merges += o.forced_merges;
         worst_violation = std::max(worst_violation, o.worst_violation);
         rounds += o.rounds;
-        plan_cache_hits += o.plan_cache_hits;
-        plan_cache_misses += o.plan_cache_misses;
-        speculated_plans += o.speculated_plans;
-        speculative_hits += o.speculative_hits;
-        wasted_speculation += o.wasted_speculation;
         batch_planned += o.batch_planned;
         kernel_fallbacks += o.kernel_fallbacks;
         shards += o.shards;
@@ -206,7 +173,7 @@ struct engine_stats {
 /// accumulate() above — lint.py cross-checks the field list against the
 /// fold — and the expected size here is updated.  Counters must never be
 /// able to dodge the shard/service accounting silently.
-static_assert(sizeof(engine_stats) == 88,
+static_assert(sizeof(engine_stats) == 64,
               "engine_stats changed: fold the new field in accumulate(), "
               "add it to the tools/lint.py field list check, then update "
               "this size lock");

@@ -21,9 +21,8 @@
 ///
 /// Determinism note: callers must make results independent of execution
 /// order (each job writes its own slot).  Everything in this codebase that
-/// fans out — NN queries and plan() calls per multi-merge round, the
-/// nearest-pair engine's speculative top-k plan() batches, requests per
-/// batch — obeys that rule, which is why threaded runs are bit-identical
+/// fans out — NN queries and plan() calls per multi-merge round, shard
+/// sub-reduces, requests per batch — obeys that rule, which is why threaded runs are bit-identical
 /// to sequential ones.
 
 #include <atomic>

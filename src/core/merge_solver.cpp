@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <sstream>
 
 namespace astclk::core {
 
@@ -141,6 +142,32 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
 }
 
 }  // namespace
+
+std::string skew_spec::validate(topo::group_id num_groups) const {
+    std::ostringstream err;
+    // Negated comparisons: NaN fails every ordering test.
+    if (!(default_bound >= 0.0)) {
+        err << "default bound " << default_bound << " is not >= 0";
+        return err.str();
+    }
+    std::vector<char> seen(static_cast<std::size_t>(std::max(num_groups, 0)));
+    for (const auto& [g, b] : overrides) {
+        if (g < 0 || g >= num_groups) {
+            err << "override for group " << g << " outside [0, " << num_groups
+                << ')';
+            return err.str();
+        }
+        if (!(b >= 0.0)) {
+            err << "bound " << b << " of group " << g << " is not >= 0";
+            return err.str();
+        }
+        if (seen[static_cast<std::size_t>(g)]++ != 0) {
+            err << "group " << g << " is overridden twice";
+            return err.str();
+        }
+    }
+    return {};
+}
 
 std::optional<merge_plan> merge_solver::plan(const topo::clock_tree& t,
                                              topo::node_id a,

@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -46,10 +47,8 @@ namespace astclk::core {
 /// distance lower bound; subsequent selections of the pair are keyed by the
 /// cached true cost instead of re-solving the plan.  Entries for merged
 /// roots are never consulted again (node ids are unique), so no
-/// invalidation is needed within one engine run.  The *plan* behind a
-/// cached cost lives in the companion `plan_cache` below, so a re-keyed
-/// pair popped a second time is committed from the memoised plan instead
-/// of being re-solved.
+/// invalidation is needed within one engine run.  Only the cost is kept:
+/// a re-keyed pair popped a second time is solved again (DESIGN.md §3).
 class pair_cost_cache {
   public:
     void store(std::uint64_t key, double order_cost) {
@@ -104,6 +103,12 @@ struct skew_spec {
 
     static skew_spec zero() { return {}; }
     static skew_spec uniform(double b) { return {b, {}}; }
+
+    /// Validates every bound (non-negative and not NaN; +inf means "no
+    /// bound") and every override's group (in [0, num_groups), listed
+    /// once); returns a human-readable problem description or the empty
+    /// string when valid.
+    [[nodiscard]] std::string validate(topo::group_id num_groups) const;
 };
 
 /// An interior-edge snake: lengthen the edge from `side_root` to its direct
@@ -130,85 +135,6 @@ struct merge_plan {
     std::vector<interior_snake> snakes;
     int shared_groups = 0;      ///< diagnostic: how many groups were shared
     double violation = 0.0;     ///< forced merges only: worst skew excess
-};
-
-/// Generation-stamped memo of fully solved plans, keyed by the *ordered*
-/// pair key (ordered_pair_key, nn_index.hpp) — the promotion of the
-/// order-cost hook above into a real cross-step plan cache (DESIGN.md §3).
-/// The key must be orientation-sensitive: a merge_plan assigns `alpha` to
-/// the first root of the solve, so plan(a, b) and plan(b, a) are mirror
-/// images that must never substitute for each other.
-///
-/// The engine stamps every entry with the *selection generations* of both
-/// roots at solve time (engine_scratch's per-node counters: bumped whenever
-/// a root's nearest-neighbour record changes or the root is merged away).
-/// A lookup only returns the entry when both stamps still match, so a plan
-/// solved speculatively — possibly on another thread, for a pair selection
-/// never commits — can never leak into a run whose state moved on: stale
-/// entries are simply misses and the caller re-solves inline.  For
-/// ledger-free solvers a live pair's plan is invariant while both roots
-/// remain active (plans read only the two subtrees), so generation
-/// stamping is conservative; the engine disables the cache entirely for
-/// ledger-backed solvers, whose plans read offsets that commits bind.
-///
-/// `plan == nullopt` is a *cached rejection*: the solver found the pair
-/// infeasible, and consuming the entry reproduces the rejection without
-/// re-solving.  `speculative`/`consumed` feed the engine's wasted-work
-/// accounting (engine_stats).
-class plan_cache {
-  public:
-    struct entry {
-        std::uint32_t gen_a = 0;   ///< generation of the first (alpha) root
-        std::uint32_t gen_b = 0;   ///< generation of the second (beta) root
-        bool speculative = false;  ///< solved ahead of selection
-        bool consumed = false;     ///< selection has used this plan
-        std::optional<merge_plan> plan;  ///< nullopt: pair was rejected
-    };
-
-    /// Insert or overwrite the pair's entry (an overwritten speculative
-    /// entry that was never consumed stays counted as wasted work).
-    void store(std::uint64_t key, std::uint32_t gen_a, std::uint32_t gen_b,
-               bool speculative, std::optional<merge_plan> plan) {
-        entries_[key] =
-            entry{gen_a, gen_b, speculative, false, std::move(plan)};
-    }
-
-    /// The pair's entry when both generation stamps still match, nullptr
-    /// when the pair was never solved or either root's state moved on.
-    [[nodiscard]] entry* find(std::uint64_t key, std::uint32_t gen_a,
-                              std::uint32_t gen_b) {
-        if (entries_.empty()) return nullptr;  // no speculation in flight
-        const auto it = entries_.find(key);
-        if (it == entries_.end()) return nullptr;
-        entry& e = it->second;
-        if (e.gen_a != gen_a || e.gen_b != gen_b) return nullptr;
-        return &e;
-    }
-
-    /// Drop one pair's entry regardless of stamps.  The engine calls this
-    /// at a pair's *terminal* event — commit or ban — after which the pair
-    /// can never be proposed again (merged roots leave the active set,
-    /// banned pairs are excluded from NN queries), so the memo stays
-    /// proportional to the in-flight speculation instead of retaining
-    /// every plan ever solved until the end of the run.
-    void erase(std::uint64_t key) {
-        if (!entries_.empty()) entries_.erase(key);
-    }
-
-    /// Drop every entry (engine_scratch reuse between runs).
-    void clear() { entries_.clear(); }
-    [[nodiscard]] std::size_t size() const { return entries_.size(); }
-
-    /// Visit every entry as (ordered pair key, entry) — read-only walk for
-    /// the invariant auditor's generation-stamp check (core/audit.hpp).
-    /// Iteration order is unspecified; callers must not depend on it.
-    template <class Fn>
-    void for_each(Fn fn) const {
-        for (const auto& [key, e] : entries_) fn(key, e);
-    }
-
-  private:
-    std::unordered_map<std::uint64_t, entry> entries_;
 };
 
 /// How the solver treats inter-group offset consistency.

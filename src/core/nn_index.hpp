@@ -44,16 +44,6 @@ namespace astclk::core {
     return (static_cast<std::uint64_t>(hi) << 32) | lo;
 }
 
-/// Orientation-sensitive pair key: (a, b) and (b, a) map to distinct keys.
-/// The plan cache needs this — a merge_plan assigns `alpha` to the *first*
-/// root of the solve, so the two orientations are different plans even
-/// though cost and feasibility coincide.
-[[nodiscard]] inline std::uint64_t ordered_pair_key(topo::node_id a,
-                                                   topo::node_id b) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(a)) << 32) |
-           static_cast<std::uint32_t>(b);
-}
-
 /// Predicate accepting every pair — the "no bans" case, fully inlined.
 struct no_bans {
     [[nodiscard]] bool operator()(std::uint64_t) const { return false; }

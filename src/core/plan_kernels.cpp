@@ -266,9 +266,9 @@ int solve_chunk(const merge_solver& solver, const topo::clock_tree& t,
 
     // --- Masked SoA ternary search (the balance heuristic): every live
     // lane computes every iteration; see ternary_iterate.  The loop runs
-    // over the nf lanes this chunk actually carries — short chunks (the
-    // speculative drain often brings 1-3 fast lanes) must not pay the
-    // full-width iteration.
+    // over the nf lanes this chunk actually carries — short chunks (a
+    // nearest-pair pop brings one lane) must not pay the full-width
+    // iteration.
     if (any_ternary) {
         const double wr = model.wire.res_per_unit;
         const double wc = model.wire.cap_per_unit;

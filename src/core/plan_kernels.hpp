@@ -6,9 +6,9 @@
 ///
 /// After the selection, service and sharding layers went sub-quadratic,
 /// the per-pair `plan()` solve and the nearest-neighbour distance scans
-/// dominate the profile — and both are already *dispatched in batches*
-/// (speculative top-k fan-out, multi-merge round planning, grid ring
-/// expansion), which is exactly the shape data-parallel kernels want.
+/// dominate the profile — and both can be *dispatched in batches*
+/// (multi-merge round planning, grid ring expansion), which is exactly the
+/// shape data-parallel kernels want.
 /// This layer solves 4-8 independent merge plans per call from one
 /// instruction stream:
 ///
@@ -64,9 +64,8 @@
 
 namespace astclk::core {
 
-/// The dispatch grain of the batch layer: callers (the engine's
-/// speculative drain, the shard planner) hand work to the executor in
-/// chunks of this many plans.  Eight double lanes fill two AVX2 (or one
+/// The dispatch grain of the batch layer: multi-merge round planning hands
+/// work to the executor in chunks of this many plans.  Eight double lanes fill two AVX2 (or one
 /// AVX-512) vector registers; the remainder loop handles short batches
 /// exactly.
 inline constexpr std::size_t kplan_lanes = 8;

@@ -9,9 +9,9 @@
 ///  * generated instances (src/gen synthesis is deterministic but not
 ///    free; batches routing the same benchmark under many specs share one
 ///    copy via the keyed cache),
-///  * engine scratch buffers (selection heaps, NN records, the plan
-///    cache and speculation job slots — reused across requests instead of
-///    reallocated per reduce run).
+///  * engine scratch buffers (selection heaps, NN records, the ban and
+///    cost caches — reused across requests instead of reallocated per
+///    reduce run).
 ///
 /// A routing_context is safe to share across the service's worker threads:
 /// the instance cache and the scratch pool are mutex-guarded, cached

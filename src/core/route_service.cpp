@@ -308,15 +308,15 @@ route_result route_service::route(routing_request req) {
 namespace {
 
 /// Reconfigure a request for one degradation-ladder rung (cumulative:
-/// rung 2 implies rung 1's step).  Rung 3 swaps the strategy for the
-/// greedy EXT-BST under the spec's tightest bound — conservative: a
-/// global bound no looser than any group's bound satisfies every group.
+/// rung 2 implies rung 1's step).  Rung 1 pins the coarse auto-shard
+/// count; rung 2 swaps the strategy for the greedy EXT-BST under the
+/// spec's tightest bound — conservative: a global bound no looser than any
+/// group's bound satisfies every group.
 void apply_rung(routing_request& req, int rung, int concurrency) {
-    if (rung >= 1) req.options.engine.speculate_k = 0;
-    if (rung >= 2 && req.instance != nullptr)
+    if (rung >= 1 && req.instance != nullptr)
         req.options.engine.shards =
             coarse_shard_count(req.instance->sinks.size(), concurrency);
-    if (rung >= 3) {
+    if (rung >= 2) {
         double b = req.spec.default_bound;
         for (const auto& [g, ob] : req.spec.overrides) b = std::min(b, ob);
         req.spec = skew_spec::uniform(b);
@@ -353,7 +353,7 @@ void route_service::serve(const std::shared_ptr<route_handle::state>& st,
             const double f = elapsed / total;
             const double w = dp.deadline_watermark;
             if (f >= w + (1.0 - w) / 2.0)
-                st->rung = std::max(st->rung, 3);
+                st->rung = std::max(st->rung, 2);
             else if (f >= w)
                 st->rung = std::max(st->rung, 1);
         }
@@ -417,7 +417,7 @@ void route_service::serve(const std::shared_ptr<route_handle::state>& st,
             again = true;
         }
     }
-    if (!again && !cancelled && dp.enabled && st->rung < 3 &&
+    if (!again && !cancelled && dp.enabled && st->rung < 2 &&
         (res.status == route_status::transient_fault ||
          res.status == route_status::data_fault) &&
         now < st->opt.deadline) {

@@ -44,8 +44,7 @@
 /// with bounded exponential backoff at their original priority, and
 /// `submit_options::degrade` arms the graceful-degradation ladder — when
 /// the deadline watermark passes or retries are exhausted, the request is
-/// rerun stepped down (no speculation → coarser shards → greedy-BST
-/// fallback), and a deadline firing mid-sharded-reduce salvages the
+/// rerun stepped down (coarser shards → greedy-BST fallback), and a deadline firing mid-sharded-reduce salvages the
 /// completed shard sub-trees (shard.hpp).  Degraded results carry a valid
 /// tree tagged `route_status::degraded`, re-verified by the independent
 /// evaluator before publication, with the rung and reason in
@@ -150,12 +149,11 @@ struct retry_policy {
 /// Graceful-degradation ladder for one submission (DESIGN.md §10).  When
 /// enabled, a request that exhausts its retries on a fault — or whose
 /// deadline watermark passes while attempts remain — is rerun stepped
-/// down one rung at a time: 1 = speculation off, 2 = coarser auto-shards
-/// (coarse_shard_count), 3 = greedy-BST fallback under the spec's
-/// tightest bound.  Independently, `salvage` arms partial-result recovery
-/// of sharded reduces (engine_options::salvage).  Every degraded tree is
-/// re-verified by the independent evaluator before publication unless
-/// `verify` is off.
+/// down one rung at a time: 1 = coarser auto-shards (coarse_shard_count),
+/// 2 = greedy-BST fallback under the spec's tightest bound.
+/// Independently, `salvage` arms partial-result recovery of sharded
+/// reduces (engine_options::salvage).  Every degraded tree is re-verified
+/// by the independent evaluator before publication unless `verify` is off.
 struct degrade_policy {
     bool enabled = false;
     /// Fraction of the submit→deadline budget after which a (re)attempt

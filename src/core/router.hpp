@@ -37,19 +37,17 @@ namespace astclk::core {
 /// interrupted sharded reduce rather than a ladder rerun.
 enum class degrade_rung : int {
     none = 0,
-    no_speculation = 1,   ///< rung 1: speculative pipeline disabled
-    coarse_shards = 2,    ///< rung 2: finer auto-shard partition (coarser
+    coarse_shards = 1,    ///< rung 1: finer auto-shard partition (coarser
                           ///< solution: more stitch seams, less fidelity)
-    greedy_fallback = 3,  ///< rung 3: greedy BST under the spec's tightest
+    greedy_fallback = 2,  ///< rung 2: greedy BST under the spec's tightest
                           ///< bound (collapse-groups EXT-BST route)
-    salvaged = 4,         ///< completed shard sub-trees recovered, the rest
+    salvaged = 3,         ///< completed shard sub-trees recovered, the rest
                           ///< greedily completed, then stitched
 };
 
 [[nodiscard]] constexpr const char* to_string(degrade_rung r) noexcept {
     switch (r) {
         case degrade_rung::none: return "none";
-        case degrade_rung::no_speculation: return "no_speculation";
         case degrade_rung::coarse_shards: return "coarse_shards";
         case degrade_rung::greedy_fallback: return "greedy_fallback";
         case degrade_rung::salvaged: return "salvaged";
@@ -133,14 +131,11 @@ struct router_options {
     rc::delay_model model = rc::delay_model::elmore();
     /// Engine knobs, forwarded to every reduce run of the route: merge
     /// order, true-cost re-keying, sharding (`engine.shards`, DESIGN.md
-    /// §4), the nearest-neighbour backend (`engine.backend` — grid by
+    /// §4) and the nearest-neighbour backend (`engine.backend` — grid by
     /// default, `nn_backend::linear` for the exact-scan verification
-    /// backend) and the speculative pipeline (`engine.speculate_k`,
-    /// `engine.plan_cache` — top-k plan() overlap and the cross-step plan
-    /// memo, DESIGN.md §3).  The backend and the speculative pipeline move
-    /// wall-clock only; trees are identical under every setting of them.
-    /// How plans are solved is not a knob: ledger-free solves always run
-    /// the SoA batch kernels (DESIGN.md §11).
+    /// backend).  The backend moves wall-clock only; trees are identical
+    /// under either setting.  How plans are solved is not a knob:
+    /// ledger-free solves always run the SoA batch kernels (DESIGN.md §11).
     engine_options engine;
     /// AST only: ordering bias (layout units) deferring merges that would
     /// bind two inter-group offset components (see merge_solver).

@@ -109,10 +109,10 @@ int auto_shard_count(std::size_t population, int concurrency) {
 }
 
 int coarse_shard_count(std::size_t population, int concurrency) {
-    /// The degradation ladder's rung-2 partition: ~128 sinks per shard —
+    /// The degradation ladder's rung-1 partition: ~128 sinks per shard —
     /// four times finer than auto_shard_count's sweet spot, trading stitch
     /// seams (solution fidelity) for much shallower sub-reductions when a
-    /// deadline is chasing the run.  Always at least 2 shards (rung 2 must
+    /// deadline is chasing the run.  Always at least 2 shards (rung 1 must
     /// actually change the configuration), never more than the population.
     constexpr std::size_t ktarget = 128;
     std::size_t k = (population + ktarget / 2) / ktarget;
@@ -127,8 +127,7 @@ int effective_shard_count(const engine_options& opt,
                           std::size_t population) {
     // Ledger-backed solvers share one offset state across every merge;
     // independent sub-reductions would each bind their own copy, so the
-    // knob silently degrades to the monolithic front (same contract as
-    // the plan cache and speculation).
+    // knob silently degrades to the monolithic front.
     if (solver.ledger() != nullptr) return 1;
     int k = opt.shards;
     if (k == 1) return 1;
@@ -159,19 +158,17 @@ route_result sharded_route(const topo::instance& inst,
     std::vector<shard_run> runs(k);
 
     // Per-shard engine configuration: the shard is the unit of
-    // parallelism, so shard reduces run sequentially (no nested executor,
-    // hence no speculation) and never re-shard.  Each shard sub-reduce is
-    // a full dispatch site for the SoA batch plan kernels, whose lane
-    // math is per-plan independent, so shard trees do not depend on how
-    // the shards are scheduled.  When
-    // the shard loop fans out, the cancel probe is dropped from the shard
-    // tokens — probes are test instrumentation counted on the driving
-    // thread only — while the flag/deadline checks stay live at every
-    // shard's checkpoints.
+    // parallelism, so shard reduces run sequentially (no nested executor)
+    // and never re-shard.  Each shard sub-reduce is a full dispatch site
+    // for the SoA batch plan kernels, whose lane math is per-plan
+    // independent, so shard trees do not depend on how the shards are
+    // scheduled.  When the shard loop fans out, the cancel probe is
+    // dropped from the shard tokens — probes are test instrumentation
+    // counted on the driving thread only — while the flag/deadline checks
+    // stay live at every shard's checkpoints.
     engine_options sopt = opt;
     sopt.executor = nullptr;
     sopt.shards = 1;
-    sopt.speculate_k = 0;
     // Inner shard tokens never carry the fault plan: selection/round
     // checkpoint indexes are per-run, so concurrent shards would race for
     // the same scheduled events.  Shard-level faults fire at the per-shard
@@ -265,7 +262,6 @@ route_result sharded_route(const topo::instance& inst,
         engine_options gopt = opt;
         gopt.executor = nullptr;
         gopt.shards = 1;
-        gopt.speculate_k = 0;
         gopt.true_cost_ordering = false;  // pure arc-distance: cheapest order
         gopt.cancel = grace;
         const bottom_up_engine rescue(solver, gopt);

@@ -54,10 +54,10 @@ using shard_partition = std::vector<std::vector<std::int32_t>>;
 /// produce fewer shards.  Returns 1 (monolithic) for small populations.
 [[nodiscard]] int auto_shard_count(std::size_t population, int concurrency);
 
-/// The degradation ladder's rung-2 shard count (route_service degrade
+/// The degradation ladder's rung-1 shard count (route_service degrade
 /// ladder, DESIGN.md §10): ~128 sinks per shard — four times finer than
 /// `auto_shard_count`, trading stitch seams for much shallower (faster)
-/// sub-reductions.  Always >= 2 so rung 2 genuinely reconfigures the run;
+/// sub-reductions.  Always >= 2 so rung 1 genuinely reconfigures the run;
 /// clamped to the population like every other shard count.
 [[nodiscard]] int coarse_shard_count(std::size_t population, int concurrency);
 

@@ -80,10 +80,16 @@ route_result route(const routing_request& req, routing_context& ctx) {
     route_result res;
     const cancel_token& tok = req.options.engine.cancel;
     // Validation boundary: the engine indexes per-group state by group id
-    // and trusts every coordinate and cap, so a malformed instance never
-    // reaches a strategy.  It comes back as a non-retryable `error`
-    // carrying the problem, whoever built it (parser, generator or code).
-    const std::string problem = req.instance->validate();
+    // and trusts every coordinate, cap and bound, so a malformed instance
+    // or skew spec never reaches a strategy.  It comes back as a
+    // non-retryable `error` carrying the problem, whoever built it (parser,
+    // generator or code).  A NaN bound would otherwise route as "no bound".
+    std::string problem = req.instance->validate();
+    if (!problem.empty())
+        problem = "invalid instance: " + problem;
+    else if (std::string sp = req.spec.validate(req.instance->num_groups);
+             !sp.empty())
+        problem = "invalid skew spec: " + sp;
     // Checkpoint zero: a token that already fired (cancelled before claim,
     // zero/expired deadline) reports its status without entering the
     // strategy — no leaves, no scratch lease, no reduce.  This is also the
@@ -95,9 +101,8 @@ route_result route(const routing_request& req, routing_context& ctx) {
                          : route_status::ok;
     if (pre != route_status::ok) {
         res.status = pre;
-        res.status_message = problem.empty()
-                                 ? status_message_for(pre)
-                                 : "invalid instance: " + problem;
+        res.status_message =
+            problem.empty() ? status_message_for(pre) : problem;
     } else {
         try {
             res = fn(req, ctx);

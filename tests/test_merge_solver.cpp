@@ -8,7 +8,6 @@
 //                            engine's last resort.
 
 #include "core/merge_solver.hpp"
-#include "core/nn_index.hpp"
 #include "rc/solve.hpp"
 
 #include <gtest/gtest.h>
@@ -258,76 +257,6 @@ TEST(MergeSolver, ExactLedgerPreventsTheConflict) {
     ASSERT_TRUE(p.has_value());
     EXPECT_TRUE(p->snakes.empty());
     EXPECT_DOUBLE_EQ(p->violation, 0.0);
-}
-
-TEST(PlanCache, GenerationStampsGateEveryLookup) {
-    // The plan cache is the engine's cross-step memo: entries are keyed by
-    // the ordered pair key and stamped with both roots' selection
-    // generations; any stamp mismatch is a miss (the engine then re-solves
-    // inline), so a speculatively solved plan can never outlive the state
-    // it was solved against.
-    plan_cache cache;
-    merge_plan p;
-    p.alpha = 3.0;
-    p.beta = 7.0;
-    const std::uint64_t key = ordered_pair_key(4, 9);
-    cache.store(key, /*gen_a=*/2, /*gen_b=*/5, /*speculative=*/true, p);
-    EXPECT_EQ(cache.size(), 1u);
-
-    plan_cache::entry* e = cache.find(key, 2, 5);
-    ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->speculative);
-    EXPECT_FALSE(e->consumed);
-    ASSERT_TRUE(e->plan.has_value());
-    EXPECT_DOUBLE_EQ(e->plan->alpha, 3.0);
-    e->consumed = true;
-
-    // Any generation bump — either root — invalidates the entry.
-    EXPECT_EQ(cache.find(key, 3, 5), nullptr);
-    EXPECT_EQ(cache.find(key, 2, 6), nullptr);
-    EXPECT_EQ(cache.find(key, 3, 6), nullptr);
-    // The stale entry is only shadowed, not erased: the stamps must come
-    // back (they never do in the engine — generations only grow) for it
-    // to resurface.
-    ASSERT_NE(cache.find(key, 2, 5), nullptr);
-    EXPECT_TRUE(cache.find(key, 2, 5)->consumed);
-
-    // Storing again overwrites stamp and payload.
-    cache.store(key, 3, 6, /*speculative=*/false, std::nullopt);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_EQ(cache.find(key, 2, 5), nullptr);
-    plan_cache::entry* e2 = cache.find(key, 3, 6);
-    ASSERT_NE(e2, nullptr);
-    EXPECT_FALSE(e2->plan.has_value());  // a cached rejection
-    EXPECT_FALSE(e2->consumed);
-
-    cache.clear();
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.find(key, 3, 6), nullptr);
-}
-
-TEST(PlanCache, OrderedKeysKeepOrientationsDistinct) {
-    // plan(a, b) assigns alpha to a; plan(b, a) is the mirror image.  The
-    // cache must never serve one for the other, which is why it is keyed
-    // by ordered_pair_key instead of the symmetric pair_key.
-    EXPECT_NE(ordered_pair_key(4, 9), ordered_pair_key(9, 4));
-    EXPECT_EQ(pair_key(4, 9), pair_key(9, 4));
-
-    plan_cache cache;
-    merge_plan ab;
-    ab.alpha = 1.0;
-    ab.beta = 9.0;
-    cache.store(ordered_pair_key(4, 9), 0, 0, false, ab);
-    EXPECT_EQ(cache.find(ordered_pair_key(9, 4), 0, 0), nullptr);
-    merge_plan ba;
-    ba.alpha = 9.0;
-    ba.beta = 1.0;
-    cache.store(ordered_pair_key(9, 4), 0, 0, false, ba);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_DOUBLE_EQ(cache.find(ordered_pair_key(4, 9), 0, 0)->plan->alpha,
-                     1.0);
-    EXPECT_DOUBLE_EQ(cache.find(ordered_pair_key(9, 4), 0, 0)->plan->alpha,
-                     9.0);
 }
 
 TEST(MergeSolver, PathLengthModelMatchesFigureArithmetic) {

@@ -7,7 +7,7 @@
 //  * golden tree fingerprints: r1–r5 x k {4, 6} x thirteen router
 //    configurations (windowed 0/5 ps, automatic, soft ledger, multi-merge
 //    windowed/automatic, linear backend, 4 shards, auto shards and
-//    speculate_k 8 on 3 threads, EXT-BST 10 ps, ZST, separate-stitch)
+//    windowed zero skew on 3 threads, EXT-BST 10 ps, ZST, separate-stitch)
 //    plus the l1 placement at 5000 sinks, each pinned to wirelength,
 //    merges, rejected and forced pairs, the snake-wire bits and a hash of
 //    every node's children, arc endpoints and edge lengths.  The values
@@ -22,8 +22,8 @@
 //    partial chunks, chunk-of-one) against per-pair scalar plan() —
 //    every plan field compared bitwise;
 //  * fallback accounting: a windowed ledger-free solver takes the fast
-//    path (zero fallbacks on the accepted stream), a ledger-backed solver
-//    bounces every lane, and a routed run books every plan to exactly one
+//    path (zero fallbacks on the accepted stream), an exact-ledger solver
+//    replaying its own merge stream bounces every lane, and a routed run books every plan to exactly one
 //    of the two paths;
 //  * ledger-backed routes call plan() directly (kernel counters stay
 //    zero) and their trees match the linear-scan backend's.
@@ -69,7 +69,7 @@ enum class config {
     linear,           ///< windowed on the linear-scan NN backend
     shards4,          ///< windowed, 4 shards
     shards_auto_t3,   ///< windowed, auto shards, 3 service threads
-    speculate8_t3,    ///< windowed, speculate_k 8, 3 service threads
+    windowed0_t3,     ///< windowed, zero skew, 3 service threads
     ext_bst10,        ///< EXT-BST, global 10 ps
     zst,              ///< ZST-DME
     separate,         ///< separate trees per group, stitched
@@ -98,10 +98,7 @@ route_result route_config(const topo::instance& inst, config c) {
             e.shards = 0;
             threads = 3;
             break;
-        case config::speculate8_t3:
-            e.speculate_k = 8;
-            threads = 3;
-            break;
+        case config::windowed0_t3: threads = 3; break;
         case config::ext_bst10:
             r.strategy = strategy_id::ext_bst;
             r.spec = skew_spec::uniform(10e-12);
@@ -179,7 +176,7 @@ const golden_row kgolden[] = {
      0x40f15516e1ad0c34ULL, 0x8f6880871a0f2c0cULL},
     {"r1", 4, config::shards_auto_t3, 2045461.1189194699, 266, 0, 0,
      0x41031072a807eebbULL, 0x3ed5ed0c0b04c6bfULL},
-    {"r1", 4, config::speculate8_t3, 2045461.1189194699, 266, 0, 0,
+    {"r1", 4, config::windowed0_t3, 2045461.1189194699, 266, 0, 0,
      0x41031072a807eebbULL, 0x3ed5ed0c0b04c6bfULL},
     {"r1", 4, config::ext_bst10, 2020547.7575326553, 266, 0, 0,
      0x4104da0b96d849ccULL, 0xc344c2a871998152ULL},
@@ -205,7 +202,7 @@ const golden_row kgolden[] = {
      0x40f14a7b62919f72ULL, 0x385b0506d9b2878fULL},
     {"r1", 6, config::shards_auto_t3, 2045645.3561072454, 266, 0, 0,
      0x41031044ffadfa61ULL, 0x0192da71ffbf3e7aULL},
-    {"r1", 6, config::speculate8_t3, 2045645.3561072454, 266, 0, 0,
+    {"r1", 6, config::windowed0_t3, 2045645.3561072454, 266, 0, 0,
      0x41031044ffadfa61ULL, 0x0192da71ffbf3e7aULL},
     {"r1", 6, config::ext_bst10, 2020547.7575326553, 266, 0, 0,
      0x4104da0b96d849ccULL, 0xc344c2a871998152ULL},
@@ -231,7 +228,7 @@ const golden_row kgolden[] = {
      0x4117db36051ce2a5ULL, 0x18b06bd25e049d9cULL},
     {"r2", 4, config::shards_auto_t3, 3411882.095016432, 597, 36, 3,
      0x411ab0736b7075b6ULL, 0xbd88041bef874c0fULL},
-    {"r2", 4, config::speculate8_t3, 3411882.095016432, 597, 36, 3,
+    {"r2", 4, config::windowed0_t3, 3411882.095016432, 597, 36, 3,
      0x411ab0736b7075b6ULL, 0xbd88041bef874c0fULL},
     {"r2", 4, config::ext_bst10, 3136677.428891188, 597, 0, 0,
      0x4104e48ccdb025e8ULL, 0xc1bb0a7999334e10ULL},
@@ -257,7 +254,7 @@ const golden_row kgolden[] = {
      0x41113754498af9c1ULL, 0x616492a33f2a5cb6ULL},
     {"r2", 6, config::shards_auto_t3, 3418682.896439366, 597, 69, 4,
      0x41187e72d70ad2fcULL, 0xc2df12d0644bf146ULL},
-    {"r2", 6, config::speculate8_t3, 3418682.896439366, 597, 69, 4,
+    {"r2", 6, config::windowed0_t3, 3418682.896439366, 597, 69, 4,
      0x41187e72d70ad2fcULL, 0xc2df12d0644bf146ULL},
     {"r2", 6, config::ext_bst10, 3136677.428891188, 597, 0, 0,
      0x4104e48ccdb025e8ULL, 0xc1bb0a7999334e10ULL},
@@ -283,7 +280,7 @@ const golden_row kgolden[] = {
      0x4114a0df87eabc69ULL, 0xf2f606d621fe69feULL},
     {"r3", 4, config::shards_auto_t3, 4070287.8595847595, 861, 51, 4,
      0x411a7bb02e9ce812ULL, 0x12722b2a9f7e8e76ULL},
-    {"r3", 4, config::speculate8_t3, 4070287.8595847595, 861, 51, 4,
+    {"r3", 4, config::windowed0_t3, 4070287.8595847595, 861, 51, 4,
      0x411a7bb02e9ce812ULL, 0x12722b2a9f7e8e76ULL},
     {"r3", 4, config::ext_bst10, 3582651.8149137371, 861, 0, 0,
      0x40f68bd4cbc549c5ULL, 0x1153925fa9c401baULL},
@@ -309,7 +306,7 @@ const golden_row kgolden[] = {
      0x41250127e5466873ULL, 0x770704ee43f4aa94ULL},
     {"r3", 6, config::shards_auto_t3, 5183649.4927426297, 861, 121, 6,
      0x41375a73f7d75ba0ULL, 0x55f6b7c5ec222f39ULL},
-    {"r3", 6, config::speculate8_t3, 5183649.4927426297, 861, 121, 6,
+    {"r3", 6, config::windowed0_t3, 5183649.4927426297, 861, 121, 6,
      0x41375a73f7d75ba0ULL, 0x55f6b7c5ec222f39ULL},
     {"r3", 6, config::ext_bst10, 3582651.8149137371, 861, 0, 0,
      0x40f68bd4cbc549c5ULL, 0x1153925fa9c401baULL},
@@ -335,7 +332,7 @@ const golden_row kgolden[] = {
      0x4131d71157a03e38ULL, 0xf30f699da4a6dd13ULL},
     {"r4", 4, config::shards_auto_t3, 6798188.183459579, 1902, 113, 10,
      0x4131d71157a03e38ULL, 0xf30f699da4a6dd13ULL},
-    {"r4", 4, config::speculate8_t3, 7819235.5193007831, 1902, 211, 8,
+    {"r4", 4, config::windowed0_t3, 7819235.5193007831, 1902, 211, 8,
      0x4140e59e12b0a59fULL, 0xf5a5c2396a02a30aULL},
     {"r4", 4, config::ext_bst10, 5293528.6029210994, 1902, 0, 0,
      0x40dbcc22c9fa32efULL, 0xe90986013aa63322ULL},
@@ -361,7 +358,7 @@ const golden_row kgolden[] = {
      0x4132cd7108c9308bULL, 0x872bd3ef8ee0ee21ULL},
     {"r4", 6, config::shards_auto_t3, 7002901.0924022524, 1902, 387, 25,
      0x4132cd7108c9308bULL, 0x872bd3ef8ee0ee21ULL},
-    {"r4", 6, config::speculate8_t3, 8945721.3514867574, 1902, 700, 19,
+    {"r4", 6, config::windowed0_t3, 8945721.3514867574, 1902, 700, 19,
      0x4148ff0766674dd6ULL, 0x8dce13ec192eadc7ULL},
     {"r4", 6, config::ext_bst10, 5293528.6029210994, 1902, 0, 0,
      0x40dbcc22c9fa32efULL, 0xe90986013aa63322ULL},
@@ -387,7 +384,7 @@ const golden_row kgolden[] = {
      0x413698680e99708aULL, 0x2416157c23891078ULL},
     {"r5", 4, config::shards_auto_t3, 8797340.2696179692, 3100, 257, 21,
      0x41364f84d74a76c8ULL, 0xff80060a8975f5d6ULL},
-    {"r5", 4, config::speculate8_t3, 9632507.7963693608, 3100, 569, 16,
+    {"r5", 4, config::windowed0_t3, 9632507.7963693608, 3100, 569, 16,
      0x4142c9ea6075c861ULL, 0x0ed88bd31a6266daULL},
     {"r5", 4, config::ext_bst10, 6845879.1507648751, 3100, 0, 0,
      0x40ebb27aadca5638ULL, 0x120f45d0016d92a4ULL},
@@ -413,7 +410,7 @@ const golden_row kgolden[] = {
      0x413f611dd86d3226ULL, 0xd30ed03153fc7602ULL},
     {"r5", 6, config::shards_auto_t3, 9922278.2938309349, 3100, 728, 42,
      0x41424d70a9097331ULL, 0x6e7e61417e18cfd2ULL},
-    {"r5", 6, config::speculate8_t3, 8998270.1656338405, 3100, 1918, 36,
+    {"r5", 6, config::windowed0_t3, 8998270.1656338405, 3100, 1918, 36,
      0x413934ee9b5d5cd6ULL, 0xdd9d0d44226eac57ULL},
     {"r5", 6, config::ext_bst10, 6845879.1507648751, 3100, 0, 0,
      0x40ebb27aadca5638ULL, 0x120f45d0016d92a4ULL},
@@ -566,14 +563,13 @@ TEST(PlanKernels, LedgerBackedSolverBouncesEveryLane) {
     spec.num_sinks = 64;
     auto inst = gen::generate(spec);
     gen::apply_intermingled_groups(inst, 4, spec.seed + 1);
-    const merge_solver windowed(rc::delay_model::elmore(),
-                                skew_spec::uniform(2.0));
-    const plan_stream ps = make_plan_stream(inst, windowed);
-
+    // The stream comes from the exact-ledger solver itself (zero spec, its
+    // own ledger), so each replayed merge reads the offsets its own commit
+    // bound — the only state in which an exact-ledger plan() is defined.
     offset_ledger ledger(4);
-    const merge_solver ledgered(rc::delay_model::elmore(),
-                                skew_spec::uniform(2.0), &ledger,
-                                consistency_mode::exact);
+    const merge_solver ledgered(rc::delay_model::elmore(), skew_spec::zero(),
+                                &ledger, consistency_mode::exact);
+    const plan_stream ps = make_plan_stream(inst, ledgered);
     std::vector<std::optional<merge_plan>> out(ps.pairs.size());
     const int fb = solve_plan_batch(ledgered, ps.tree, ps.pairs.data(),
                                     ps.pairs.size(), out.data());

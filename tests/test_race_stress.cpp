@@ -1,15 +1,15 @@
 // Race-stress suite (DESIGN.md §12): the workload the TSan configuration
 // (-DASTCLK_SANITIZE=thread) exists for.  Small instances are routed
 // through every concurrent path at once — the service's worker pool, the
-// speculative plan() fan-out, the sharded sub-reduce fan-out, concurrent
-// cancellation and deterministic fault injection — so a data race in any
-// of the synchronization layers has maximal opportunity to surface under
-// the race detector.
+// multi-merge rounds' NN and plan fan-out, the sharded sub-reduce fan-out,
+// concurrent cancellation and deterministic fault injection — so a data
+// race in any of the synchronization layers has maximal opportunity to
+// surface under the race detector.
 //
 // The suite runs (cheaply) in the plain configuration too, where it
-// doubles as a determinism matrix: whatever the thread count, speculation
-// depth or submission interleaving, every completed tree must be
-// bit-identical to the sequential reference for its shard count.
+// doubles as a determinism matrix: whatever the thread count or
+// submission interleaving, every completed tree must be bit-identical to
+// the sequential reference for its merge order and shard count.
 
 #include "core/route_service.hpp"
 #include "gen/grouping.hpp"
@@ -33,16 +33,20 @@ topo::instance stress_instance(int n, int groups, std::uint64_t seed) {
     return inst;
 }
 
-routing_request make_request(const topo::instance& inst, int speculate_k,
+constexpr merge_order korders[] = {merge_order::nearest_pair,
+                                   merge_order::multi_merge};
+constexpr int kshard_counts[] = {1, 4};
+
+routing_request make_request(const topo::instance& inst, merge_order order,
                              int shards) {
     routing_request r;
     r.instance = &inst;
     r.strategy = strategy_id::ast_dme;
-    // Windowed mode keeps the solver ledger-free: the plan cache,
-    // speculation and sharding (the fan-outs this suite stresses) all
+    // Windowed mode keeps the solver ledger-free: sharding and the
+    // multi-merge plan fan-out (two of the fan-outs this suite stresses)
     // disable themselves behind a ledger.
     r.mode = ast_mode::windowed;
-    r.options.engine.speculate_k = speculate_k;
+    r.options.engine.order = order;
     r.options.engine.shards = shards;
     return r;
 }
@@ -66,24 +70,26 @@ void expect_same_tree(const route_result& got, const route_result& ref,
 }
 
 /// Every fan-out at once: for each worker count, one service routes the
-/// full {speculate_k} × {shards} matrix over two instances concurrently,
+/// full {merge order} × {shards} matrix over two instances concurrently,
 /// and each completion must be bit-identical to the sequential reference
-/// of its (instance, shard count) cell.
+/// of its (instance, merge order, shard count) cell.  The service hands
+/// its pool to every request, so monolithic multi-merge rounds fan their
+/// NN queries and plans out over the same workers that run the requests.
 TEST(RaceStress, ConcurrentMatrixIsBitIdentical) {
     const auto small = stress_instance(40, 4, 7);
     const auto medium = stress_instance(72, 4, 11);
     const std::vector<const topo::instance*> instances{&small, &medium};
-    const int spec_ks[] = {0, 4};
-    const int shard_counts[] = {1, 4};
 
-    // Sequential references, one per (instance, shard count).
-    route_result refs[2][2];
+    // Sequential references, one per (instance, merge order, shard count).
+    route_result refs[2][2][2];
     for (int ii = 0; ii < 2; ++ii)
-        for (int si = 0; si < 2; ++si) {
-            refs[ii][si] =
-                route(make_request(*instances[ii], 0, shard_counts[si]));
-            ASSERT_TRUE(refs[ii][si].ok()) << refs[ii][si].status_message;
-        }
+        for (int oi = 0; oi < 2; ++oi)
+            for (int si = 0; si < 2; ++si) {
+                route_result& ref = refs[ii][oi][si];
+                ref = route(make_request(*instances[ii], korders[oi],
+                                         kshard_counts[si]));
+                ASSERT_TRUE(ref.ok()) << ref.status_message;
+            }
 
     for (const int threads : {2, 4}) {
         service_options sopt;
@@ -91,28 +97,29 @@ TEST(RaceStress, ConcurrentMatrixIsBitIdentical) {
         route_service svc(sopt);
         struct pending {
             route_handle h;
-            int ii, si;
+            const route_result* ref;
             std::string what;
         };
         std::vector<pending> inflight;
         for (int rep = 0; rep < 2; ++rep)
             for (int ii = 0; ii < 2; ++ii)
-                for (const int k : spec_ks)
+                for (int oi = 0; oi < 2; ++oi)
                     for (int si = 0; si < 2; ++si) {
                         submit_options so;
                         so.priority = rep;  // exercise the priority queue
                         inflight.push_back(
-                            {svc.submit(make_request(*instances[ii], k,
-                                                     shard_counts[si]),
+                            {svc.submit(make_request(*instances[ii],
+                                                     korders[oi],
+                                                     kshard_counts[si]),
                                         so),
-                             ii, si,
+                             &refs[ii][oi][si],
                              "threads=" + std::to_string(threads) +
                                  " inst=" + std::to_string(ii) +
-                                 " k=" + std::to_string(k) + " shards=" +
-                                 std::to_string(shard_counts[si])});
+                                 " order=" + std::to_string(oi) +
+                                 " shards=" +
+                                 std::to_string(kshard_counts[si])});
                     }
-        for (auto& p : inflight)
-            expect_same_tree(p.h.wait(), refs[p.ii][p.si], p.what);
+        for (auto& p : inflight) expect_same_tree(p.h.wait(), *p.ref, p.what);
     }
 }
 
@@ -120,13 +127,18 @@ TEST(RaceStress, ConcurrentMatrixIsBitIdentical) {
 /// fire mid-route on several workers at once while healthy submissions
 /// share the pool.  Faulted requests may retry; every terminal status must
 /// be coherent, and any attempt that ends ok must still be bit-identical
-/// to the sequential reference.
+/// to the sequential reference.  Every third plan routes multi-merge, so
+/// its round-site faults fire too.
 TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
     const auto inst = stress_instance(48, 4, 3);
-    const route_result ref = route(make_request(inst, 0, 1));
-    ASSERT_TRUE(ref.ok()) << ref.status_message;
-    const route_result ref4 = route(make_request(inst, 0, 4));
-    ASSERT_TRUE(ref4.ok()) << ref4.status_message;
+    // Sequential references, one per (merge order, shard count).
+    route_result refs[2][2];
+    for (int oi = 0; oi < 2; ++oi)
+        for (int si = 0; si < 2; ++si) {
+            refs[oi][si] =
+                route(make_request(inst, korders[oi], kshard_counts[si]));
+            ASSERT_TRUE(refs[oi][si].ok()) << refs[oi][si].status_message;
+        }
 
     service_options sopt;
     sopt.threads = 4;
@@ -134,7 +146,7 @@ TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
 
     std::vector<std::unique_ptr<fault_plan>> plans;  // outlive every poll
     std::vector<route_handle> handles;
-    std::vector<int> shard_of;
+    std::vector<const route_result*> ref_of;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
         auto plan = std::make_unique<fault_plan>();
         plan->schedule(fault_site::selection, 3 * seed,
@@ -144,23 +156,25 @@ TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
             plan->schedule(fault_site::shard, (seed / 2) % 4 + 1,
                            fault_kind::poisoned_shard);
         plans.push_back(std::move(plan));
-        const int shards = (seed % 2 == 0) ? 4 : 1;
-        routing_request req = make_request(inst, (seed % 3 == 0) ? 4 : 0,
-                                           shards);
+        const int si = seed % 2 == 0 ? 1 : 0;
+        const int oi = seed % 3 == 0 ? 1 : 0;
+        routing_request req =
+            make_request(inst, korders[oi], kshard_counts[si]);
         req.options.engine.cancel.set_faults(plans.back().get());
         submit_options so;
         so.retry.max_attempts = 2;
         handles.push_back(svc.submit(req, so));
-        shard_of.push_back(shards);
+        ref_of.push_back(&refs[oi][si]);
         // Interleave healthy traffic so fault unwinds race completions.
-        handles.push_back(svc.submit(make_request(inst, 0, shards)));
-        shard_of.push_back(shards);
+        handles.push_back(svc.submit(
+            make_request(inst, merge_order::nearest_pair, kshard_counts[si])));
+        ref_of.push_back(&refs[0][si]);
     }
     for (std::size_t i = 0; i < handles.size(); ++i) {
         route_result res = handles[i].wait();
         switch (res.status) {
             case route_status::ok:
-                expect_same_tree(res, shard_of[i] == 4 ? ref4 : ref,
+                expect_same_tree(res, *ref_of[i],
                                  "fault matrix #" + std::to_string(i));
                 break;
             case route_status::transient_fault:
@@ -174,7 +188,9 @@ TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
         }
     }
     // The pool survived every unwind: the service still routes cleanly.
-    expect_same_tree(svc.route(make_request(inst, 4, 1)), ref, "post-fault");
+    expect_same_tree(
+        svc.route(make_request(inst, merge_order::multi_merge, 1)),
+        refs[1][0], "post-fault");
 }
 
 /// Concurrent cancellation: handles cancelled from the driving thread
@@ -183,31 +199,37 @@ TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
 /// scratch pool stays balanced, and the service remains usable.
 TEST(RaceStress, ConcurrentCancellationIsClean) {
     const auto inst = stress_instance(72, 4, 5);
-    const route_result ref = route(make_request(inst, 0, 1));
-    ASSERT_TRUE(ref.ok()) << ref.status_message;
+    route_result refs[2];  // one per merge order
+    for (int oi = 0; oi < 2; ++oi) {
+        refs[oi] = route(make_request(inst, korders[oi], 1));
+        ASSERT_TRUE(refs[oi].ok()) << refs[oi].status_message;
+    }
 
     service_options sopt;
     sopt.threads = 4;
     route_service svc(sopt);
     for (int round = 0; round < 3; ++round) {
         std::vector<route_handle> handles;
+        // Orders alternate in pairs, so the cancelled (even) handles cover
+        // both merge orders.
         for (int i = 0; i < 8; ++i)
-            handles.push_back(svc.submit(make_request(inst, i % 2 ? 4 : 0,
-                                                      1)));
+            handles.push_back(
+                svc.submit(make_request(inst, korders[(i / 2) % 2], 1)));
         for (std::size_t i = 0; i < handles.size(); i += 2)
             handles[i].cancel();
         for (std::size_t i = 0; i < handles.size(); ++i) {
             route_result res = handles[i].wait();
             if (res.status == route_status::ok)
-                expect_same_tree(res, ref,
+                expect_same_tree(res, refs[(i / 2) % 2],
                                  "cancel round " + std::to_string(round));
             else
                 EXPECT_EQ(res.status, route_status::cancelled)
                     << res.status_message;
         }
     }
-    expect_same_tree(svc.route(make_request(inst, 0, 1)), ref,
-                     "post-cancel");
+    expect_same_tree(
+        svc.route(make_request(inst, merge_order::nearest_pair, 1)), refs[0],
+        "post-cancel");
 }
 
 }  // namespace

@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace astclk::core {
@@ -227,9 +229,75 @@ TEST(Resilience, RetryExhaustionStepsDownTheLadder) {
     route_result res = svc.submit(req, sub).wait();
     ASSERT_EQ(res.status, route_status::degraded) << res.status_message;
     EXPECT_EQ(res.attempts, 3);  // 2 faulted attempts + 1 rung-1 rerun
-    EXPECT_EQ(res.degradation.rung, degrade_rung::no_speculation);
+    EXPECT_EQ(res.degradation.rung, degrade_rung::coarse_shards);
+    EXPECT_GE(res.resolved_shards, 2);
     EXPECT_TRUE(res.degradation.verified);
     expect_verified(res, inst, req.spec, "ladder rung 1");
+}
+
+/// Submit a degrade-enabled ZST request with a `budget` deadline to a
+/// single-worker service whose worker is pinned, and release the worker
+/// once `fraction` of the budget has passed: the request is claimed no
+/// earlier than that point of its budget.  The worker is pinned inside a
+/// first request's completion callback (invoked on the worker), so no
+/// test strategy is needed.
+route_result claimed_past(const topo::instance& inst,
+                          std::chrono::milliseconds budget, double fraction) {
+    service_options sopt;
+    sopt.threads = 1;
+    route_service svc(sopt);
+    std::promise<void> entered;
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
+    submit_options hold;
+    hold.on_complete = [&](const route_result&) {
+        entered.set_value();
+        released.wait();
+    };
+    route_handle pin = svc.submit(zst_request(inst), hold);
+    entered.get_future().wait();  // the only worker is now pinned
+
+    submit_options sub;
+    sub.degrade.enabled = true;
+    sub.deadline = std::chrono::steady_clock::now() + budget;
+    route_handle h = svc.submit(zst_request(inst), sub);
+    // Measured from after the submit, so the claim lands at least
+    // `fraction` into the budget however late this thread wakes.
+    std::this_thread::sleep_until(
+        std::chrono::steady_clock::now() +
+        std::chrono::duration_cast<std::chrono::milliseconds>(budget *
+                                                              fraction));
+    release.set_value();
+    (void)pin.wait();
+    return h.wait();
+}
+
+TEST(Resilience, DeadlineWatermarkStartsOnCoarseShards) {
+    // Claimed just past the 0.5 watermark: rung 1.  It stays rung 1 unless
+    // the claim slips past 0.75 of the budget (~450 ms of slack at 2 s),
+    // and the rerouted request has ~950 ms to finish.
+    const auto inst = small_instance(300, 1, 17, false);
+    const route_result res =
+        claimed_past(inst, std::chrono::milliseconds(2000), 0.52);
+    ASSERT_EQ(res.status, route_status::degraded) << res.status_message;
+    EXPECT_EQ(res.degradation.rung, degrade_rung::coarse_shards);
+    EXPECT_GE(res.resolved_shards, 2);
+    EXPECT_EQ(res.attempts, 1);
+    EXPECT_TRUE(res.degradation.verified);
+    expect_verified(res, inst, skew_spec::zero(), "watermark rung 1");
+}
+
+TEST(Resilience, DeadlinePastRemainderMidpointStartsGreedy) {
+    // Claimed past the midpoint of what the watermark leaves (0.75 of the
+    // budget): straight to rung 2, with ~450 ms left to route.
+    const auto inst = small_instance(300, 1, 17, false);
+    const route_result res =
+        claimed_past(inst, std::chrono::milliseconds(2000), 0.77);
+    ASSERT_EQ(res.status, route_status::degraded) << res.status_message;
+    EXPECT_EQ(res.degradation.rung, degrade_rung::greedy_fallback);
+    EXPECT_EQ(res.attempts, 1);
+    EXPECT_TRUE(res.degradation.verified);
+    expect_verified(res, inst, skew_spec::zero(), "watermark rung 2");
 }
 
 // -------------------------------------------------------------- salvage

@@ -17,10 +17,12 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace astclk::core {
@@ -221,12 +223,6 @@ TEST(RouteService, DeterministicAcrossThreadCounts) {
         r.options.engine.order = merge_order::multi_merge;
         reqs.push_back(r);
     }
-    // Speculative nearest-pair requests exercise the top-k plan() overlap
-    // (engaged at threads >= 2, a no-op at 1 — identical either way).
-    for (auto r : all_requests(inst)) {
-        r.options.engine.speculate_k = 4;
-        reqs.push_back(r);
-    }
     std::vector<int> counts{1, 2,
                             static_cast<int>(std::max(
                                 1u, std::thread::hardware_concurrency()))};
@@ -291,23 +287,40 @@ TEST(RouteService, ErrorInOneRequestIsIsolatedWithStatus) {
     expect_same_route(got[2], direct_call(reqs[2]), "isolated[2]");
 }
 
-TEST(RouteService, InvalidInstanceIsNeitherRetriedNorDegraded) {
-    auto inst = small_instance(60, 4, 55, true);
-    inst.sinks[7].group = 9;  // out of range for num_groups == 4
-    routing_request req;
-    req.instance = &inst;
+TEST(RouteService, InvalidRequestIsNeitherRetriedNorDegraded) {
+    const auto inst = small_instance(60, 4, 55, true);
+    auto bad_inst = inst;
+    bad_inst.sinks[7].group = 9;  // out of range for num_groups == 4
+    routing_request base;
+    base.instance = &inst;
+    std::vector<std::pair<routing_request, const char*>> cases;
+    cases.emplace_back(base, "invalid instance");
+    cases.back().first.instance = &bad_inst;
+    for (const skew_spec& spec :
+         {skew_spec::uniform(std::numeric_limits<double>::quiet_NaN()),
+          skew_spec::uniform(-5e-12),
+          skew_spec{0.0, {{4, 1e-12}}}}) {  // group 4 of 4
+        for (const strategy_id s :
+             {strategy_id::ext_bst, strategy_id::ast_dme}) {
+            cases.emplace_back(base, "invalid skew spec");
+            cases.back().first.strategy = s;
+            cases.back().first.spec = spec;
+        }
+    }
     submit_options sub;
     sub.retry.max_attempts = 3;
     sub.degrade.enabled = true;
     service_options sopt;
     sopt.threads = 2;
     route_service svc(sopt);
-    const route_result r = svc.submit(req, sub).wait();
-    EXPECT_EQ(r.status, route_status::error);
-    EXPECT_EQ(r.attempts, 1);
-    EXPECT_EQ(r.degradation.rung, degrade_rung::none);
-    EXPECT_NE(r.status_message.find("invalid instance"), std::string::npos)
-        << r.status_message;
+    for (const auto& [req, why] : cases) {
+        const route_result r = svc.submit(req, sub).wait();
+        EXPECT_EQ(r.status, route_status::error) << why;
+        EXPECT_EQ(r.attempts, 1) << why;
+        EXPECT_EQ(r.degradation.rung, degrade_rung::none) << why;
+        EXPECT_NE(r.status_message.find(why), std::string::npos)
+            << r.status_message;
+    }
 }
 
 TEST(RouteService, ScratchAndInstanceReuseAreBitIdentical) {
@@ -561,87 +574,6 @@ TEST(RouteService, CancelMidReduceStopsWithinOneRoundAndFreesScratch) {
     // bit-identical to a fresh transient-context run.
     const auto again = route(base, ctx);
     expect_same_route(again, route(base), "post-cancel scratch reuse");
-}
-
-TEST(RouteService, CancelMidSpeculativeReduceStopsAndStrandsNothing) {
-    // The selection checkpoint precedes the speculative top-k dispatch, so
-    // a fired token stops the reduce before another plan() batch fans out
-    // — and because the batch is a blocking parallel_for, no speculative
-    // task can outlive its step: after the unwind the pool is quiescent
-    // and immediately reusable.  Checkpoint counting works exactly as on
-    // the plain engine (speculation adds no polls).
-    const auto inst = small_instance(150, 6, 44, true);
-    thread_pool pool(2);  // wide enough for speculation to engage
-    routing_request base;
-    base.instance = &inst;
-    base.mode = ast_mode::windowed;
-    base.options.engine.executor = &pool;
-    base.options.engine.speculate_k = 8;
-
-    cancel_probe counting;
-    routing_context warm;
-    {
-        routing_request r = base;
-        r.options.engine.cancel.set_probe(&counting);
-        const auto full = route(r, warm);
-        ASSERT_TRUE(full.ok());
-        ASSERT_GT(full.stats.speculated_plans, 0);  // pipeline engaged
-    }
-    ASSERT_GT(counting.polls, 20u);
-    const std::uint64_t trip = counting.polls / 2;
-
-    std::atomic<bool> flag{false};
-    cancel_probe probe;
-    probe.on_poll = [&](std::uint64_t k) {
-        if (k == trip) flag.store(true, std::memory_order_relaxed);
-    };
-    routing_context ctx;
-    routing_request r = base;
-    r.options.engine.cancel =
-        cancel_token(&flag, cancel_token::no_deadline());
-    r.options.engine.cancel.set_probe(&probe);
-    const auto res = route(r, ctx);
-    EXPECT_EQ(res.status, route_status::cancelled);
-    EXPECT_EQ(res.tree.size(), 0u);
-    EXPECT_EQ(probe.polls, trip);        // same bound as the plain engine
-    EXPECT_GT(res.stats.merges, 0);
-    EXPECT_LE(res.stats.merges, static_cast<int>(trip) - 2);
-    // The interrupt closed the speculation books on its way out.
-    EXPECT_GT(res.stats.speculated_plans, 0);
-    EXPECT_EQ(res.stats.wasted_speculation,
-              res.stats.speculated_plans - res.stats.speculative_hits);
-    EXPECT_EQ(ctx.pooled_scratch(), 1u);  // lease released by the unwind
-
-    // Nothing was stranded: the same pool and context immediately serve
-    // an identical speculative request, bit-identical to a fresh one.
-    const auto again = route(base, ctx);
-    expect_same_route(again, route(base), "post-cancel speculative reuse");
-}
-
-TEST(RouteService, DeadlineMidSpeculativeReduceReportsAndRecovers) {
-    // Same contract for deadlines: expiry is observed at the next
-    // selection checkpoint, before the step's speculative dispatch.
-    const auto inst = small_instance(150, 6, 44, true);
-    thread_pool pool(2);
-    routing_request r;
-    r.instance = &inst;
-    r.mode = ast_mode::windowed;
-    r.options.engine.executor = &pool;
-    r.options.engine.speculate_k = 8;
-    cancel_probe probe;
-    probe.on_poll = [](std::uint64_t k) {
-        if (k == 10)
-            std::this_thread::sleep_for(std::chrono::milliseconds(120));
-    };
-    r.options.engine.cancel = cancel_token(
-        nullptr, std::chrono::steady_clock::now() +
-                     std::chrono::milliseconds(40));
-    r.options.engine.cancel.set_probe(&probe);
-    routing_context ctx;
-    const auto res = route(r, ctx);
-    EXPECT_EQ(res.status, route_status::deadline_exceeded);
-    EXPECT_EQ(res.tree.size(), 0u);
-    EXPECT_EQ(ctx.pooled_scratch(), 1u);
 }
 
 TEST(RouteService, CancelMidMultiMergeStopsAtRoundBoundary) {

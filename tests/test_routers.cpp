@@ -12,6 +12,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 
 namespace astclk::core {
 namespace {
@@ -181,6 +182,49 @@ TEST(Routers, InvalidInstanceIsRejectedBeforeTheEngine) {
     routing_request req;
     req.instance = &inst;
     EXPECT_EQ(route(req).status, route_status::error);
+}
+
+TEST(Routers, InvalidSkewSpecIsRejectedBeforeTheEngine) {
+    // A NaN bound would route as "no bound" (every comparison against it
+    // is false, the verifier's included) and a negative one would reach
+    // the solver, so route() rejects both, and overrides naming a missing
+    // or repeated group, with a typed error for every strategy.
+    const auto inst = small_instance(40, 4, 8, true);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const std::pair<skew_spec, const char*> bad[] = {
+        {skew_spec::uniform(nan), "default bound"},
+        {skew_spec::uniform(-5e-12), "default bound"},
+        {{0.0, {{1, nan}}}, "of group 1"},
+        {{0.0, {{2, -1e-12}}}, "of group 2"},
+        {{0.0, {{4, 1e-12}}}, "group 4 outside"},
+        {{0.0, {{-1, 1e-12}}}, "group -1 outside"},
+        {{0.0, {{3, 1e-12}, {3, 2e-12}}}, "overridden twice"},
+    };
+    for (const strategy_id s :
+         {strategy_id::ast_dme, strategy_id::zst_dme, strategy_id::ext_bst,
+          strategy_id::separate_stitch}) {
+        for (const auto& [spec, why] : bad) {
+            routing_request req;
+            req.instance = &inst;
+            req.strategy = s;
+            req.spec = spec;
+            const route_result r = route(req);
+            EXPECT_EQ(r.status, route_status::error) << why;
+            EXPECT_NE(r.status_message.find("invalid skew spec"),
+                      std::string::npos)
+                << r.status_message;
+            EXPECT_NE(r.status_message.find(why), std::string::npos)
+                << r.status_message;
+            EXPECT_EQ(r.tree.size(), 0u);
+            EXPECT_EQ(r.stats.merges, 0);
+        }
+        // +inf stays legal: it means "no bound".
+        routing_request req;
+        req.instance = &inst;
+        req.strategy = s;
+        req.spec = {std::numeric_limits<double>::infinity(), {{0, 0.0}}};
+        EXPECT_TRUE(route(req).ok()) << "inf bound";
+    }
 }
 
 TEST(Routers, MultiMergeOrderProducesValidTrees) {
