@@ -4,16 +4,18 @@
 // the per-cell distance fold-in — so there is no second path to compare
 // against at run time.  Instead:
 //
-//  * golden tree fingerprints: r1–r5 x k {4, 6} x thirteen router
-//    configurations (windowed 0/5 ps, automatic, soft ledger, multi-merge
-//    windowed/automatic, linear backend, 4 shards, auto shards and
-//    windowed zero skew on 3 threads, EXT-BST 10 ps, ZST, separate-stitch)
-//    plus the l1 placement at 5000 sinks, each pinned to wirelength,
-//    merges, rejected and forced pairs, the snake-wire bits and a hash of
-//    every node's children, arc endpoints and edge lengths.  The values
-//    were captured from the engine while it still carried a separate
-//    scalar reference kernel (both kernels built these exact trees) and
-//    are never re-captured from a change under test: a mismatch means
+//  * golden tree fingerprints: r1–r5 x k {4, 6} x fourteen router
+//    configurations (windowed 0/5 ps, automatic 0/5 ps, soft ledger,
+//    multi-merge windowed/automatic, linear backend, 4 shards, auto shards
+//    and windowed zero skew on 3 threads, EXT-BST 10 ps, ZST,
+//    separate-stitch) plus the l1 placement at 5000 sinks, each pinned to
+//    wirelength, merges, rejected and forced pairs, the snake-wire bits
+//    and a hash of every node's children, arc endpoints and edge lengths.
+//    The values were captured from the engine while it still carried a
+//    separate scalar reference kernel (both kernels built these exact
+//    trees; the automatic 5 ps rows, which route the soft ledger at a
+//    bounded skew, were added later from the engine of that time) and are
+//    never re-captured from a change under test: a mismatch means
 //    merge-order semantics moved;
 //  * the reference wirelengths (r1/r3/r5, intermingled k=6, grouping seed
 //    1, windowed AST);
@@ -63,6 +65,7 @@ enum class config {
     windowed0,        ///< AST windowed, zero skew
     windowed5,        ///< AST windowed, uniform 5 ps
     automatic,        ///< AST automatic (soft ledger, exact rerun)
+    automatic5,       ///< AST automatic, uniform 5 ps
     soft,             ///< AST soft ledger
     multi_windowed,   ///< multi-merge rounds, windowed
     multi_automatic,  ///< multi-merge rounds, automatic
@@ -86,6 +89,10 @@ route_result route_config(const topo::instance& inst, config c) {
         case config::windowed0: break;
         case config::windowed5: r.spec = skew_spec::uniform(5e-12); break;
         case config::automatic: r.mode = ast_mode::automatic; break;
+        case config::automatic5:
+            r.mode = ast_mode::automatic;
+            r.spec = skew_spec::uniform(5e-12);
+            break;
         case config::soft: r.mode = ast_mode::soft_ledger; break;
         case config::multi_windowed: e.order = merge_order::multi_merge; break;
         case config::multi_automatic:
@@ -164,6 +171,8 @@ const golden_row kgolden[] = {
      0x4104a50d28693b29ULL, 0x32ab5104f4bbf519ULL},
     {"r1", 4, config::automatic, 2045461.1189194717, 266, 0, 0,
      0x41031072a807eeaeULL, 0xa87912e85ce80b87ULL},
+    {"r1", 4, config::automatic5, 2033764.5149965398, 266, 0, 0,
+     0x4104aac775004444ULL, 0x5b5928ca975ff3eeULL},
     {"r1", 4, config::soft, 2045461.1189194717, 266, 0, 0,
      0x41031072a807eeb5ULL, 0x59c28409a404e6d0ULL},
     {"r1", 4, config::multi_windowed, 2057016.9052513891, 266, 0, 0,
@@ -190,6 +199,8 @@ const golden_row kgolden[] = {
      0x41048dc03f6b43b0ULL, 0x7c1f1e1c11f94b5bULL},
     {"r1", 6, config::automatic, 2045461.1189194722, 266, 0, 0,
      0x41031072a807eeafULL, 0xa52612979bce8679ULL},
+    {"r1", 6, config::automatic5, 2033631.7097181566, 266, 0, 0,
+     0x4104a830aeb78b0eULL, 0x0a01bd97caef9619ULL},
     {"r1", 6, config::soft, 2045645.3561072461, 266, 0, 0,
      0x41031044ffadfa28ULL, 0x9417ca157b49d10fULL},
     {"r1", 6, config::multi_windowed, 2057016.9052513891, 266, 0, 0,
@@ -216,6 +227,8 @@ const golden_row kgolden[] = {
      0x410a607867d1ec3cULL, 0xbd09713501b6046aULL},
     {"r2", 4, config::automatic, 3289690.0782471835, 597, 0, 0,
      0x4114fbc945ee62e2ULL, 0x174bcbf7dea6f2dfULL},
+    {"r2", 4, config::automatic5, 3158616.8818044574, 597, 3, 1,
+     0x4108ead8a80da0eeULL, 0x66c29c2cd43a6de8ULL},
     {"r2", 4, config::soft, 3411882.0950164292, 597, 36, 3,
      0x411ab0736b707530ULL, 0x275cbf7619a2bd6bULL},
     {"r2", 4, config::multi_windowed, 3191161.4143165047, 597, 25, 6,
@@ -242,6 +255,8 @@ const golden_row kgolden[] = {
      0x40ecf30fe64ec905ULL, 0x1cb08e464e1202b8ULL},
     {"r2", 6, config::automatic, 3289690.0782471839, 597, 0, 0,
      0x4114fbc945ee62d1ULL, 0x8ad6b19bc10eaa7eULL},
+    {"r2", 6, config::automatic5, 3287187.6446910533, 597, 8, 1,
+     0x410e16ab8b8ff755ULL, 0xfac84875bfb07b4eULL},
     {"r2", 6, config::soft, 3418682.3707890362, 597, 69, 4,
      0x41187e7513e16926ULL, 0x866ad18da9a7c7a2ULL},
     {"r2", 6, config::multi_windowed, 3061361.7869893741, 597, 42, 10,
@@ -268,6 +283,8 @@ const golden_row kgolden[] = {
      0x40fb994f8369f9d9ULL, 0x43b876147510a473ULL},
     {"r3", 4, config::automatic, 3538025.6081258613, 861, 0, 0,
      0x40e569e7ab77cc14ULL, 0xd124e2af729965deULL},
+    {"r3", 4, config::automatic5, 3886991.469431295, 861, 0, 0,
+     0x411820f31d2f49b1ULL, 0x9d3657ef53254bb1ULL},
     {"r3", 4, config::soft, 4070287.859584759, 861, 51, 4,
      0x411a7bb02e9ce7dfULL, 0xab8991866c06944bULL},
     {"r3", 4, config::multi_windowed, 3969093.8222497129, 861, 27, 7,
@@ -294,6 +311,8 @@ const golden_row kgolden[] = {
      0x40fbc3c1d944326bULL, 0x397c4105a332e594ULL},
     {"r3", 6, config::automatic, 3538025.608125865, 861, 0, 0,
      0x40e569e7ab77ccf1ULL, 0xe2b0c474ef5280efULL},
+    {"r3", 6, config::automatic5, 3887055.041976169, 861, 0, 0,
+     0x41182160b6efc298ULL, 0x6afa33683645f054ULL},
     {"r3", 6, config::soft, 5343638.7378573362, 861, 98, 5,
      0x413a5a26355211a8ULL, 0x609c6accfd3d0b02ULL},
     {"r3", 6, config::multi_windowed, 3817849.3130333885, 861, 42, 10,
@@ -320,6 +339,8 @@ const golden_row kgolden[] = {
      0x412b53c2e3ef1294ULL, 0x024f0132133e6010ULL},
     {"r4", 4, config::automatic, 6358540.1395002259, 1902, 0, 0,
      0x4129c56c0c372aceULL, 0xa63e9635fdc2f88cULL},
+    {"r4", 4, config::automatic5, 5507757.129458483, 1902, 6, 2,
+     0x40ffc2a358ac1325ULL, 0xafb255586ef59158ULL},
     {"r4", 4, config::soft, 7818258.5428507272, 1902, 211, 8,
      0x4140e33e2c196b7fULL, 0x2b312cfb2842432dULL},
     {"r4", 4, config::multi_windowed, 5910468.8854080914, 1902, 45, 7,
@@ -346,6 +367,8 @@ const golden_row kgolden[] = {
      0x4110f79583405961ULL, 0xaa14f13a47d2a52bULL},
     {"r4", 6, config::automatic, 6358540.139500224, 1902, 0, 0,
      0x4129c56c0c372aaaULL, 0x37d054ebfccbf6f6ULL},
+    {"r4", 6, config::automatic5, 5493037.611646469, 1902, 0, 0,
+     0x41048b095b3d7542ULL, 0x19a2ad197ce1bfb4ULL},
     {"r4", 6, config::soft, 8840531.384316111, 1902, 697, 19,
      0x4148274041731deaULL, 0x22b43e3bb99fee14ULL},
     {"r4", 6, config::multi_windowed, 6399404.151571475, 1902, 280, 31,
@@ -372,6 +395,8 @@ const golden_row kgolden[] = {
      0x411e9ad9e8cda4a2ULL, 0xf5fa60b0d33b5c26ULL},
     {"r5", 4, config::automatic, 7882558.9476744598, 3100, 0, 0,
      0x412cbd3e806ddfaaULL, 0xae49c9d1305aa78fULL},
+    {"r5", 4, config::automatic5, 7410572.800946082, 3100, 0, 0,
+     0x41218e2ec05dddb9ULL, 0xc82a46bef8c03c54ULL},
     {"r5", 4, config::soft, 9632507.7963693459, 3100, 569, 16,
      0x4142c9ea6075c83cULL, 0xbd7024a7f9272ac8ULL},
     {"r5", 4, config::multi_windowed, 8066616.1678454168, 3100, 137, 14,
@@ -398,6 +423,8 @@ const golden_row kgolden[] = {
      0x411bcbb03817b2feULL, 0x20395301ddeb2facULL},
     {"r5", 6, config::automatic, 7882558.9476744719, 3100, 0, 0,
      0x412cbd3e806ddfc1ULL, 0xe2d02d2ed0834c12ULL},
+    {"r5", 6, config::automatic5, 7410621.734333821, 3100, 0, 0,
+     0x41218f85744b39b8ULL, 0x065f7f61b447de08ULL},
     {"r5", 6, config::soft, 9324613.723649418, 3100, 1923, 36,
      0x413dfd9bb491be26ULL, 0x2639ca2762b1affeULL},
     {"r5", 6, config::multi_windowed, 8458659.8892499804, 3100, 398, 38,
