@@ -1,8 +1,6 @@
 // Ablation C — the consistency study (DESIGN.md §5, EXPERIMENTS.md):
 // how the three AST conflict strategies trade wirelength, snaking and
-// residual violations, plus the bind-deferral knob demonstrating why
-// postponing offset commitments degenerates toward separate-tree overlap
-// (the paper's Fig. 2 failure mode).
+// residual violations.
 //
 // All variants are one route_service batch over context-cached instances.
 
@@ -18,13 +16,11 @@ int main() {
     struct variant {
         const char* label;
         core::ast_mode mode;
-        double bias;
     };
     const variant variants[] = {
-        {"exact ledger", core::ast_mode::exact_ledger, 0.0},
-        {"soft ledger", core::ast_mode::soft_ledger, 0.0},
-        {"windowed (paper)", core::ast_mode::windowed, 0.0},
-        {"exact + defer-binds", core::ast_mode::exact_ledger, 2e4},
+        {"exact ledger", core::ast_mode::exact_ledger},
+        {"soft ledger", core::ast_mode::soft_ledger},
+        {"windowed (paper)", core::ast_mode::windowed},
     };
 
     struct job {
@@ -44,7 +40,6 @@ int main() {
                 r.instance = &inst;
                 r.strategy = core::strategy_id::ast_dme;
                 r.mode = v.mode;
-                r.options.bind_deferral_bias = v.bias;
                 reqs.push_back(r);
                 jobs.push_back({&inst, name, k, v.label});
             }
@@ -73,7 +68,6 @@ int main() {
         << "\n(Exact ledger: guaranteed zero intra-group skew, stable wire.\n"
            " Windowed: the paper's literal merge cases — per-merge freedom,\n"
            " but frozen-offset conflicts can force residual violations and\n"
-           " unpredictable snaking.  Deferring offset binds recreates the\n"
-           " separate-tree overlap waste of Fig. 2.)\n";
+           " unpredictable snaking.)\n";
     return 0;
 }

@@ -57,9 +57,6 @@ struct perf_record {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
-    /// plan_batch:t1 only (zero elsewhere): the fraction of plans the SoA
-    /// fast path solved, 1 - fallbacks / solves.
-    double fast_path_ratio = 0.0;
     /// Gated seconds rows only (zero elsewhere): the median over
     /// repetitions of (repetition time / calibration-kernel time measured
     /// just before it) — micro_perf.cpp rep_calibration, DESIGN.md §9.
@@ -96,7 +93,6 @@ inline double percentile_sorted(const std::vector<double>& sorted_xs,
             << ", \"wirelength\": " << r.wirelength
             << ", \"p50\": " << r.p50 << ", \"p95\": " << r.p95
             << ", \"p99\": " << r.p99
-            << ", \"fast_path_ratio\": " << r.fast_path_ratio
             << ", \"calib_ratio\": " << r.calib_ratio << "}"
             << (i + 1 < records.size() ? "," : "") << "\n";
     }

@@ -21,7 +21,6 @@
 //   --quick   cap the sweep at n=512 and shrink the batch (CI smoke)
 
 #include "common.hpp"
-#include "core/plan_kernels.hpp"
 #include "core/router_detail.hpp"
 
 #include <chrono>
@@ -40,6 +39,13 @@ double now_diff(std::chrono::steady_clock::time_point t0) {
 
 const char* tag(core::nn_backend be) {
     return be == core::nn_backend::grid ? "grid" : "linear";
+}
+
+/// Backend tag of a thread-count row, e.g. "t4".  Not spelled
+/// `"t" + std::to_string(threads)`: GCC 12 inlines that into a memcpy it
+/// then misreports under -Werror=restrict.
+std::string thread_tag(int threads) {
+    return std::string(1, 't').append(std::to_string(threads));
 }
 
 /// The r1-spec sweep instance at `n` sinks, `groups` intermingled skew
@@ -148,82 +154,6 @@ bench::perf_record bench_nearest_pair(const topo::instance& inst, int reps,
             reduce_once(inst, core::nn_backend::grid, rec.merges, &scratch);
         cal.after(secs);
         rec.seconds = std::min(rec.seconds, secs);
-    }
-    rec.calib_ratio = cal.median();
-    rec.merges_per_sec =
-        rec.seconds > 0.0 ? static_cast<double>(rec.merges) / rec.seconds : 0.0;
-    return rec;
-}
-
-/// The accepted merge stream of one nearest-pair reduce: the tree it
-/// built plus every committed merge as a (left, right) pair in creation
-/// order.  Replaying plan() over this stream on the final tree
-/// reproduces each accepted solve exactly (both subtrees are immutable
-/// once merged), which isolates the plan-solve kernels from the NN and
-/// heap machinery around them.
-struct plan_stream {
-    topo::clock_tree tree;
-    std::vector<std::pair<topo::node_id, topo::node_id>> pairs;
-};
-
-plan_stream make_plan_stream(const topo::instance& inst,
-                             const core::merge_solver& solver) {
-    plan_stream ps;
-    core::engine_options eopt;
-    eopt.backend = core::nn_backend::grid;
-    const core::bottom_up_engine engine(solver, eopt);
-    auto roots = core::detail::make_leaves(inst, ps.tree, false);
-    const std::size_t leaves = ps.tree.size();
-    engine.reduce(ps.tree, std::move(roots), nullptr);
-    for (std::size_t i = leaves; i < ps.tree.size(); ++i) {
-        const auto& nd = ps.tree.node(static_cast<topo::node_id>(i));
-        ps.pairs.emplace_back(nd.left, nd.right);
-    }
-    return ps;
-}
-
-/// The batched SoA plan kernels (DESIGN.md §11) in isolation: replay the
-/// nearest-pair reduce's accepted merge stream — the exact solves the
-/// reduce commits, n-1 of them — through the batch kernels (`batched`)
-/// or the per-pair scalar solver.  Backend tags: "t1" = solve_plan_batch
-/// over the whole stream (the gated series, plan_batch:t1) and "scalar" =
-/// the per-pair reference solver.plan() loop.  The t1-vs-scalar ratio at
-/// the largest n is the headline batch-kernel speedup (plans are
-/// bit-identical either way — tests/test_plan_kernels.cpp asserts that;
-/// this series measures only the wall-clock the kernels buy).  The t1
-/// row's fast_path_ratio carries 1 - fallbacks/solves, proving the
-/// kernels engaged rather than bouncing to the scalar path wholesale.
-bench::perf_record bench_plan_batch(const plan_stream& ps,
-                                    const core::merge_solver& solver,
-                                    bool batched, int n, int reps,
-                                    const topo::instance* calib) {
-    bench::perf_record rec;
-    rec.bench = "plan_batch";
-    rec.backend = batched ? "t1" : "scalar";
-    rec.n = n;
-    rec.seconds = std::numeric_limits<double>::infinity();
-    std::vector<std::optional<core::merge_plan>> out(ps.pairs.size());
-    rep_calibration cal(calib);
-    for (int rep = 0; rep < reps; ++rep) {
-        int fallbacks = 0;
-        cal.before();
-        const auto t0 = std::chrono::steady_clock::now();
-        if (batched) {
-            fallbacks = core::solve_plan_batch(solver, ps.tree,
-                                               ps.pairs.data(),
-                                               ps.pairs.size(), out.data());
-        } else {
-            for (std::size_t i = 0; i < ps.pairs.size(); ++i)
-                out[i] = solver.plan(ps.tree, ps.pairs[i].first,
-                                     ps.pairs[i].second);
-        }
-        const double secs = now_diff(t0);
-        cal.after(secs);
-        rec.seconds = std::min(rec.seconds, secs);
-        rec.merges = static_cast<int>(ps.pairs.size());
-        if (batched && !ps.pairs.empty())
-            rec.fast_path_ratio = 1.0 - static_cast<double>(fallbacks) /
-                                            static_cast<double>(ps.pairs.size());
     }
     rec.calib_ratio = cal.median();
     rec.merges_per_sec =
@@ -393,7 +323,7 @@ bench::perf_record bench_service(
     const std::vector<const topo::instance*>& insts, int threads, int reps) {
     bench::perf_record rec;
     rec.bench = "service_batch";
-    rec.backend = "t" + std::to_string(threads);
+    rec.backend = thread_tag(threads);
     rec.seconds = std::numeric_limits<double>::infinity();
     const auto reqs = make_service_requests(insts, rec.n);
     for (int rep = 0; rep < reps; ++rep) {
@@ -431,7 +361,7 @@ bench::perf_record bench_stream(
     const std::vector<const topo::instance*>& insts, int threads, int reps) {
     bench::perf_record rec;
     rec.bench = "service_stream";
-    rec.backend = "t" + std::to_string(threads);
+    rec.backend = thread_tag(threads);
     rec.seconds = std::numeric_limits<double>::infinity();
     const auto reqs = make_service_requests(insts, rec.n);
     std::vector<double> latency(reqs.size());
@@ -552,45 +482,6 @@ int main(int argc, char** argv) {
                        io::table::fixed(rec.seconds, 4),
                        io::table::integer(rec.merges_per_sec), "-"});
             records.push_back(rec);
-        }
-    }
-
-    // Batched SoA plan kernels: replay the accepted merge stream of one
-    // single-thread nearest-pair grid reduce (r1 spec, 12 intermingled
-    // skew groups under a uniform bound — every lane windowed, none
-    // rejected) through solve_plan_batch vs the per-pair scalar solver.
-    // The n=2048 series runs in quick mode too, so the committed full
-    // baseline always shares an n with the CI smoke run; perf_diff gates
-    // the batch row (plan_batch:t1) and reports the scalar reference
-    // plus the batch-over-scalar speedup as info.  The speedup column
-    // here IS the acceptance headline: batch must beat scalar >= 1.5x
-    // at the largest n.  The JSON's fast_path_ratio field carries the
-    // fast-path fraction 1 - fallbacks/solves, proving the kernels
-    // engaged rather than falling back wholesale.
-    {
-        std::vector<int> pb_sizes{2048};
-        if (!quick) pb_sizes.push_back(3101);
-        for (const int n : pb_sizes) {
-            const topo::instance inst = sweep_instance(n, 12);
-            const core::merge_solver solver(rc::delay_model::elmore(),
-                                            core::skew_spec::uniform(2.0));
-            const plan_stream ps = make_plan_stream(inst, solver);
-            const int reps = n >= 3000 ? 9 : 11;
-            const auto batch = bench_plan_batch(ps, solver, /*batched=*/true,
-                                                n, reps, calib);
-            const auto scalar = bench_plan_batch(
-                ps, solver, /*batched=*/false, n, reps, nullptr);
-            const double speedup =
-                batch.seconds > 0.0 ? scalar.seconds / batch.seconds : 0.0;
-            t.add_row({batch.bench, std::to_string(batch.n), batch.backend,
-                       io::table::fixed(batch.seconds, 4),
-                       io::table::integer(batch.merges_per_sec),
-                       io::table::fixed(speedup, 2) + "x"});
-            t.add_row({scalar.bench, std::to_string(scalar.n), scalar.backend,
-                       io::table::fixed(scalar.seconds, 4),
-                       io::table::integer(scalar.merges_per_sec), "1.00x"});
-            records.push_back(batch);
-            records.push_back(scalar);
         }
     }
 

@@ -7,7 +7,7 @@ metric defaulting to "seconds" — present in both files, the largest common
 n is compared; a regression beyond --tolerance (default 20%) fails the
 run.  Absolute wall-clock shifts with the machine, so the comparison is
 calibrated by the linear-backend engine_reduce reduce (the linear NN scan
-plus the shared plan kernels, so a change to either must recommit the
+plus merge_solver::plan, so a change to either must recommit the
 baseline):
 
   * Per-repetition (seconds rows that carry "calib_ratio" on both sides):
@@ -26,21 +26,17 @@ Gated by default: the engine benches, the streamed single-worker p95
 per-request latency (service_stream:t1:p95 — one worker keeps the series
 deterministic on any machine), the single-thread nearest-pair reduce
 (nearest_pair:t1 — selection-heap and re-key changes cannot regress
-1-core hardware), and the single-thread
-sharded reduction (shard_reduce:t1 — auto shards on one thread, so the
-gate measures partition quality, not scheduling), and the salvage path
-of the resilience layer (degrade_salvage:salvage — recovering a faulted
-sharded route must stay cheaper than rerunning; widened tolerance since
-the row includes a greedy shard rebuild), and the batched SoA plan
-kernels (plan_batch:t1 — solve_plan_batch replaying the nearest-pair
-reduce's accepted merge stream on one thread, so SoA layout or kernel
-changes cannot quietly give back the batching win).
+1-core hardware), the single-thread sharded reduction (shard_reduce:t1 —
+auto shards on one thread, so the gate measures partition quality, not
+scheduling), and the salvage path of the resilience layer
+(degrade_salvage:salvage — recovering a faulted sharded route must stay
+cheaper than rerunning; widened tolerance since the row includes a
+greedy shard rebuild).
 Multi-threaded service_batch / service_stream throughput, the fanned
-shard_reduce:thw series, the plan_batch scalar reference row and the
-degrade_salvage clean/discard rows are reported but not gated (batch
-scheduling and shard fan-out depend on core count, not engine quality;
-the scalar row exists to compute the batch speedup).  Exit codes: 0 ok,
-1 regression, 2 usage/missing data.
+shard_reduce:thw series and the degrade_salvage clean/discard rows are
+reported but not gated (batch scheduling and shard fan-out depend on core
+count, not engine quality).  Exit codes: 0 ok, 1 regression, 2
+usage/missing data.
 """
 
 import argparse
@@ -49,8 +45,7 @@ import sys
 
 GATED_DEFAULT = (
     "engine_reduce:grid,route_ast_windowed:grid,service_stream:t1:p95@0.5,"
-    "nearest_pair:t1@0.2,shard_reduce:t1@0.2,degrade_salvage:salvage@0.25,"
-    "plan_batch:t1@0.2"
+    "nearest_pair:t1@0.2,shard_reduce:t1@0.2,degrade_salvage:salvage@0.25"
 )
 CALIBRATION_SERIES = ("engine_reduce", "linear")
 
@@ -187,21 +182,6 @@ def main():
                 if r.get("wirelength", 0) > 0:
                     extra += (f", wirelength salvaged/clean "
                               f"{sal.get('wirelength', 0) / r['wirelength']:.4f}")
-            print(f"info {key[0]}:{key[1]} @ n={n}: "
-                  f"{r['seconds']:.4f}s, {r['merges_per_sec']:.0f} "
-                  f"merges/s{extra}")
-        elif key[0] == "plan_batch" and key[1] != "t1":
-            # The scalar reference row rides as info; the headline is the
-            # batch-over-scalar speedup on the same merge stream, plus the
-            # batch row's fast-path engagement fraction.
-            n = max(cur[key])
-            r = cur[key][n]
-            extra = ""
-            t1 = cur.get(("plan_batch", "t1"), {}).get(n)
-            if t1 is not None and t1["seconds"] > 0:
-                extra += (f", batch speedup "
-                          f"{r['seconds'] / t1['seconds']:.2f}x, fast-path "
-                          f"{t1.get('fast_path_ratio', 0):.2%}")
             print(f"info {key[0]}:{key[1]} @ n={n}: "
                   f"{r['seconds']:.4f}s, {r['merges_per_sec']:.0f} "
                   f"merges/s{extra}")

@@ -9,19 +9,19 @@
 //                 [--degrade] [--fault-seed S] [--svg OUT.svg]
 //                 [--json OUT.json]
 //
-// --threads 0 (default) uses the hardware concurrency; multi-merge engine
-// rounds fan out across the pool, and results are bit-identical to
-// --threads 1.  The stats block's plan-kernel line reports how many plans
-// the SoA batch kernels solved and how many lanes fell back to the scalar
-// solver (DESIGN.md §11).  --shards K routes through the sharded
-// reduction (partition + parallel sub-reduce + associative stitch;
-// "auto" or 0 picks a count from the instance size and the thread pool,
-// 1 — the default — keeps the monolithic engine; ledger-backed AST modes
-// always reduce monolithically).  --deadline bounds the route's
-// wall-clock: an expired deadline stops the engine at the next
-// merge-round checkpoint and the run exits with status
-// `deadline_exceeded`.  An invalid --bound (NaN or negative) is rejected
-// as `invalid skew spec` before routing.
+// --bound PS is the skew bound in picoseconds: the per-group bound of
+// AST-DME (default 0) or the global bound of EXT-BST (default 10); the
+// route is verified against that same bound.  --threads 0 (default) uses
+// the hardware concurrency; multi-merge engine rounds fan out across the
+// pool, and results are bit-identical to --threads 1.  --shards K routes
+// through the sharded reduction (partition + parallel sub-reduce +
+// associative stitch; "auto" or 0 picks a count from the instance size
+// and the thread pool, 1 — the default — keeps the monolithic engine;
+// ledger-backed AST modes always reduce monolithically).  --deadline
+// bounds the route's wall-clock: an expired deadline stops the engine at
+// the next merge-round checkpoint and the run exits with status
+// `deadline_exceeded`.  A --bound that is not a number exits 2; a NaN or
+// negative one is rejected as `invalid skew spec` before routing.
 //
 // Resilience (DESIGN.md §10): --retries N grants the request N total
 // attempts with bounded exponential backoff on transient faults;
@@ -46,6 +46,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 
 using namespace astclk;
@@ -71,7 +72,7 @@ int main(int argc, char** argv) {
     std::string algo = "ast";
     std::string mode = "auto";
     std::string svg_out, json_out;
-    double bound_ps = 10.0;
+    std::optional<double> bound_ps;  // unset: AST 0 ps, EXT-BST 10 ps
     int threads = 0;
     double deadline_ms = 0.0;  // <= 0: none
     int shards = 1;
@@ -89,8 +90,15 @@ int main(int argc, char** argv) {
         };
         if (a == "--algo")
             algo = need("--algo");
-        else if (a == "--bound")
-            bound_ps = std::atof(need("--bound"));
+        else if (a == "--bound") {
+            const std::string v = need("--bound");
+            char* end = nullptr;
+            bound_ps = std::strtod(v.c_str(), &end);
+            if (end == v.c_str() || *end != '\0') {
+                std::cerr << "--bound wants a number of picoseconds\n";
+                return usage(argv[0]);
+            }
+        }
         else if (a == "--mode")
             mode = need("--mode");
         else if (a == "--threads")
@@ -148,9 +156,11 @@ int main(int argc, char** argv) {
     req.strategy = *id;
     core::skew_spec constraint = core::skew_spec::zero();
     if (req.strategy == core::strategy_id::ext_bst) {
-        req.spec = core::skew_spec::uniform(bound_ps * 1e-12);
+        req.spec = core::skew_spec::uniform(bound_ps.value_or(10.0) * 1e-12);
         constraint = req.spec;
     } else if (req.strategy == core::strategy_id::ast_dme) {
+        req.spec = core::skew_spec::uniform(bound_ps.value_or(0.0) * 1e-12);
+        constraint = req.spec;
         if (mode == "windowed")
             req.mode = core::ast_mode::windowed;
         else if (mode == "exact")
@@ -203,9 +213,6 @@ int main(int argc, char** argv) {
               << route.stats.root_snakes << " snaked, "
               << route.stats.interior_snakes << " interior snakes)\n";
     const auto& st = route.stats;
-    std::cout << "  plan kernels    : " << st.batch_planned
-              << " batch-planned, " << st.kernel_fallbacks
-              << " fallbacks\n";
     if (st.shards > 0)
         std::cout << "  shards          : " << st.shards
                   << " sub-reductions\n";

@@ -15,7 +15,6 @@ route_result run_once(const topo::instance& inst, const skew_spec& spec,
     merge_solver solver(opt.model, spec,
                         mode == consistency_mode::windowed ? nullptr : &ledger,
                         mode);
-    solver.set_bind_deferral_bias(opt.bind_deferral_bias);
     // reduce_route resolves the shard knob: the windowed (ledger-free)
     // solver may take the sharded path, the ledger modes always reduce
     // monolithically (effective_shard_count).

@@ -188,9 +188,6 @@ std::string verify_stats_books(const engine_stats& s) {
     if (s.rejected_pairs < 0) return bad("rejected_pairs", s.rejected_pairs);
     if (s.forced_merges < 0) return bad("forced_merges", s.forced_merges);
     if (s.rounds < 0) return bad("rounds", s.rounds);
-    if (s.batch_planned < 0) return bad("batch_planned", s.batch_planned);
-    if (s.kernel_fallbacks < 0)
-        return bad("kernel_fallbacks", s.kernel_fallbacks);
     if (s.shards < 0) return bad("shards", s.shards);
     if (s.merges != s.disjoint_merges + s.shared_merges) {
         err << "merge taxonomy does not sum: merges " << s.merges

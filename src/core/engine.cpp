@@ -2,7 +2,6 @@
 
 #include "core/audit.hpp"
 #include "core/dary_heap.hpp"
-#include "core/plan_kernels.hpp"
 
 #include <algorithm>
 #include <cassert>
@@ -48,14 +47,11 @@ struct engine_scratch::impl {
     std::unordered_set<topo::node_id> starved;    ///< all partners banned
     std::vector<sel_entry> heap;    ///< selection min-heap (4-ary, dary_heap)
     std::vector<rad_entry> radius;  ///< influence-radius max-heap (4-ary)
-    // Multi-merge round buffers: slot-indexed NN records, and the pairs,
-    // pre-solved plans and per-chunk fallback counts of the round's
-    // solve_plan_batch chunks (disjoint slots per chunk, so parallel
-    // chunks stay deterministic).
+    // Multi-merge round buffers: slot-indexed NN records and the round's
+    // pre-solved plans, one slot per candidate (disjoint slots, so a
+    // fanned-out round stays deterministic).
     std::vector<std::pair<topo::node_id, double>> round_nn;
-    std::vector<std::pair<topo::node_id, topo::node_id>> round_pairs;
     std::vector<std::optional<merge_plan>> round_plans;
-    std::vector<int> round_fb;
     // Per-step work lists reused across the run (integrate's affected
     // roots, pop_cheapest's equal-key losers): both are cleared before
     // use, so reuse only spares the per-call allocation.
@@ -219,12 +215,7 @@ class nearest_reducer {
     nearest_reducer(const merge_solver& solver, const engine_options& opt,
                     topo::clock_tree& t, const std::vector<topo::node_id>& roots,
                     engine_stats& st, engine_scratch::impl& s)
-        : solver_(solver), opt_(opt), t_(t), st_(st), s_(s), idx_(&t, roots),
-          // The batch kernels' fast path requires ledger-free planning
-          // (plan_kernels.hpp); a ledger-backed run would bounce every
-          // lane anyway, so it calls plan() directly and keeps the kernel
-          // counters at zero.
-          batch_on_(solver.ledger() == nullptr) {
+        : solver_(solver), opt_(opt), t_(t), st_(st), s_(s), idx_(&t, roots) {
         s_.reset(t_.size());
         for (topo::node_id r : roots) recompute(r);
     }
@@ -252,7 +243,7 @@ class nearest_reducer {
             }
             const auto [key, dist, a, b, gen, cached] = *popped;
             (void)gen;
-            auto plan = solve_one(a, b);
+            auto plan = solver_.plan(t_, a, b);
             if (!plan.has_value()) {
                 ban_pair(s_, a, b);
                 ++st_.rejected_pairs;
@@ -261,14 +252,14 @@ class nearest_reducer {
                 continue;
             }
             if (opt_.true_cost_ordering && !cached &&
-                plan->order_cost > key + kcost_slack) {
-                // Lazy re-key: the true cost (snaking and any deferral bias
-                // included) exceeds the distance bound — another pair may
-                // now be cheaper.  Only the cost is kept; the plan is solved
-                // again if the pair is popped a second time (DESIGN.md §3).
-                s_.cost_cache.store(pair_key(a, b), plan->order_cost);
+                plan->cost > key + kcost_slack) {
+                // Lazy re-key: the true cost (snaking included) exceeds the
+                // distance bound — another pair may now be cheaper.  Only
+                // the cost is kept; the plan is solved again if the pair is
+                // popped a second time (DESIGN.md §3).
+                s_.cost_cache.store(pair_key(a, b), plan->cost);
                 heap_push<sel_order>(
-                    s_.heap, {plan->order_cost, dist, a, b, gen_at(a), true});
+                    s_.heap, {plan->cost, dist, a, b, gen_at(a), true});
                 continue;
             }
             const topo::node_id c = solver_.commit(t_, a, b, *plan);
@@ -311,20 +302,6 @@ class nearest_reducer {
         }
     }
 #endif
-
-    /// One plan solve: through the batch kernel for ledger-free solvers (a
-    /// chunk of one: the SoA fast path still skips the scalar path's
-    /// working-state copies and shared-group allocation), plan() for
-    /// ledger-backed ones.
-    std::optional<merge_plan> solve_one(topo::node_id a, topo::node_id b) {
-        if (!batch_on_) return solver_.plan(t_, a, b);
-        const std::pair<topo::node_id, topo::node_id> pr{a, b};
-        std::optional<merge_plan> plan;
-        const int fb = solve_plan_batch(solver_, t_, &pr, 1, &plan);
-        st_.kernel_fallbacks += fb;
-        st_.batch_planned += 1 - fb;
-        return plan;
-    }
 
     /// Point i's nearest-neighbour record at (j, d); maintains the reverse
     /// lists, the generation counter, and both heaps.  j == knull means
@@ -505,7 +482,6 @@ class nearest_reducer {
     engine_stats& st_;
     engine_scratch::impl& s_;
     Index idx_;
-    const bool batch_on_;  ///< SoA plan kernels (ledger-free solver)
 };
 
 template <class Index>
@@ -543,10 +519,9 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
     // round's mutually-nearest pairs are vertex-disjoint, and a commit
     // mutates only its own pair's nodes (snake side-roots are the pair
     // roots themselves), so no plan reads state another commit of the
-    // same round writes.  The batch kernels solve the round in
-    // kplan_lanes chunks on that argument, fanned out when an executor is
-    // present; ledger-backed solvers plan each pair just before its
-    // commit.
+    // same round writes.  The round's plan() calls fan out on that
+    // argument when an executor is present; ledger-backed solvers plan
+    // each pair just before its commit.
     const bool pre_plans = solver.ledger() == nullptr;
 
     struct cand {
@@ -600,26 +575,12 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
                   });
 
         if (pre_plans) {
-            auto& pairs = s.round_pairs;
-            pairs.resize(cands.size());
-            for (std::size_t k = 0; k < cands.size(); ++k)
-                pairs[k] = {cands[k].a, cands[k].b};
+            // One plan per candidate at its own slot: deterministic under
+            // any schedule.
             s.round_plans.assign(cands.size(), std::nullopt);
-            // kplan_lanes-wide chunks, each writing its plans and fallback
-            // count at disjoint slots: deterministic under any schedule.
-            const std::size_t chunks =
-                (pairs.size() + kplan_lanes - 1) / kplan_lanes;
-            s.round_fb.assign(chunks, 0);
-            run_indexed(exec, chunks, [&](std::size_t c) {
-                const std::size_t lo = c * kplan_lanes;
-                const std::size_t n = std::min(kplan_lanes, pairs.size() - lo);
-                s.round_fb[c] = solve_plan_batch(solver, t, pairs.data() + lo,
-                                                  n, s.round_plans.data() + lo);
+            run_indexed(exec, cands.size(), [&](std::size_t k) {
+                s.round_plans[k] = solver.plan(t, cands[k].a, cands[k].b);
             });
-            int fb = 0;
-            for (const int f : s.round_fb) fb += f;
-            st.kernel_fallbacks += fb;
-            st.batch_planned += static_cast<int>(pairs.size()) - fb;
         }
 
         bool merged_any = false;

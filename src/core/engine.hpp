@@ -19,14 +19,12 @@
 /// The hot path is sub-quadratic by construction:
 ///   * nearest-neighbour queries go through a uniform spatial grid over the
 ///     arc boxes (grid_index; ring expansion with the arc-distance lower
-///     bound over the packed-arc SoA kernels), with the exact linear scan
-///     (nn_index) selectable as a verification backend via
-///     `engine_options::backend`; a root that takes part in no banned pair
-///     queries with no ban probe at all;
-///   * ledger-free plan solves go through the SoA batch kernels
-///     (plan_kernels.hpp, DESIGN.md §11), which bounce the rare
-///     general-path lane to `merge_solver::plan`; ledger-backed solvers
-///     call `plan()` directly;
+///     bound over the packed-arc distance kernels, DESIGN.md §11), with the
+///     exact linear scan (nn_index) selectable as a verification backend
+///     via `engine_options::backend`; a root that takes part in no banned
+///     pair queries with no ban probe at all;
+///   * every selected pair is solved by `merge_solver::plan`, the one
+///     merge-plan solver;
 ///   * the cheapest pair is popped from a global lazy-deletion min-heap
 ///     keyed by the distance lower bound (re-keyed with cached true plan
 ///     cost); per-node generation counters invalidate stale entries instead
@@ -54,7 +52,6 @@
 #include "core/grid_index.hpp"
 #include "core/merge_solver.hpp"
 #include "core/nn_index.hpp"
-#include "core/plan_kernels.hpp"
 #include "topo/tree.hpp"
 
 #include <algorithm>
@@ -135,11 +132,10 @@ struct engine_stats {
     int forced_merges = 0;        ///< minimax fallbacks (should stay 0)
     double worst_violation = 0.0; ///< residual skew excess of forced merges
     int rounds = 0;               ///< multi-merge rounds (if enabled)
-    // Plan-kernel accounting (DESIGN.md §11; ledger-free solvers only, all
-    // zero for ledger-backed ones, which plan() directly).  They describe
-    // *how* plans were solved, not what was solved.
-    int batch_planned = 0;     ///< plans solved by the SoA fast path
-    int kernel_fallbacks = 0;  ///< lanes bounced to the scalar solver
+    // Nothing writes these two; they are kept only because
+    // benchmark/astbench.cpp:860 reads them.
+    int batch_planned = 0;
+    int kernel_fallbacks = 0;
     /// Sub-reductions of the sharded path (0 = monolithic reduce).  Set by
     /// the shard driver, which folds every shard's counters into one stats
     /// block with `accumulate` — each shard writes its own block, so the

@@ -44,18 +44,98 @@
 /// `nearest_if` is exact for every cell size (the ring lower bound is
 /// admissible regardless), `for_each_within` stays an admissible superset,
 /// and the active_set — the engine's slot tie-break — is untouched.
+///
+/// Both queries compute their distances with the packed-arc kernels
+/// defined below (`batch_arc_nearest`, `batch_arc_for_each`; DESIGN.md
+/// §11) over a 32-byte-per-arc mirror of the registered arcs.
 
 #include "core/nn_index.hpp"
-#include "core/plan_kernels.hpp"
 #include "topo/tree.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <vector>
 
 namespace astclk::core {
+
+/// Cache-dense mirror of one arc box: the four tilted-space endpoints and
+/// nothing else.  An array of these indexed by node id gives the distance
+/// kernels a 32-byte gather stride instead of pulling whole tree_nodes
+/// (delay maps included) through the cache per candidate (DESIGN.md §11).
+struct packed_arc {
+    double u_lo = 0.0, u_hi = 0.0, v_lo = 0.0, v_hi = 0.0;
+
+    static packed_arc of(const geom::tilted_rect& r) {
+        return {r.u().lo, r.u().hi, r.v().lo, r.v().hi};
+    }
+};
+
+/// Distance kernel for the ring expansion's argmin: the tilted-space gap
+/// of `n` candidate arcs (gathered from `arcs` by id) against the query
+/// box `q`, folded straight into the running lexicographic-min
+/// `(best_d, best)`.
+///
+/// The per-axis gap is computed branchlessly as
+/// `max(0, max(o.lo - hi, lo - o.hi))`, which is bit-identical to the
+/// branchy `interval::gap` for every pair of non-empty intervals: when
+/// the intervals overlap both differences are <= 0 and the result is
+/// +0.0 (max(+0.0, -x) picks the first operand), and when they are
+/// disjoint exactly one difference is positive and equals the branchy
+/// result.  The gap is symmetric in the same way (the two branches swap),
+/// so query-vs-candidate and candidate-vs-query orientations agree
+/// bitwise.
+///
+/// `center` is skipped (a query never partners itself) and `banned` is
+/// consulted only for candidates that would improve the running best — a
+/// banned candidate never updates the best either way, so this computes
+/// exactly the min of a check-every-candidate scan.  The min over a
+/// candidate multiset is visit-order independent, so callers may present
+/// candidates in any order (the slab cells do).
+template <class Banned>
+inline void batch_arc_nearest(const packed_arc* arcs,
+                              const topo::node_id* ids, std::size_t n,
+                              const packed_arc& q, topo::node_id center,
+                              Banned banned, topo::node_id& best,
+                              double& best_d) {
+    const double qul = q.u_lo, quh = q.u_hi;
+    const double qvl = q.v_lo, qvh = q.v_hi;
+    for (std::size_t k = 0; k < n; ++k) {
+        const topo::node_id other = ids[k];
+        if (other == center) continue;
+        const packed_arc& a = arcs[static_cast<std::size_t>(other)];
+        const double gu =
+            std::max(0.0, std::max(a.u_lo - quh, qul - a.u_hi));
+        const double gv =
+            std::max(0.0, std::max(a.v_lo - qvh, qvl - a.v_hi));
+        const double d = std::max(gu, gv);
+        if (d < best_d || (d == best_d && other < best)) {
+            if (banned(pair_key(center, other))) continue;
+            best_d = d;
+            best = other;
+        }
+    }
+}
+
+/// Distance kernel for the post-commit fold-in: the same gap per
+/// candidate, handed to `fn(id, d)` in candidate order.
+template <class Fn>
+inline void batch_arc_for_each(const packed_arc* arcs,
+                               const topo::node_id* ids, std::size_t n,
+                               const packed_arc& q, Fn fn) {
+    const double qul = q.u_lo, quh = q.u_hi;
+    const double qvl = q.v_lo, qvh = q.v_hi;
+    for (std::size_t k = 0; k < n; ++k) {
+        const packed_arc& a = arcs[static_cast<std::size_t>(ids[k])];
+        const double gu =
+            std::max(0.0, std::max(a.u_lo - quh, qul - a.u_hi));
+        const double gv =
+            std::max(0.0, std::max(a.v_lo - qvh, qvl - a.v_hi));
+        fn(ids[k], std::max(gu, gv));
+    }
+}
 
 namespace audit {
 struct grid_inspector;
@@ -92,7 +172,7 @@ class grid_index {
     /// Nearest active root to `id` by arc distance, skipping `id` itself
     /// and banned partners; identical contract (including id tie-breaks) to
     /// nn_index::nearest_if.  The ring walk reads the contiguous cell-slab
-    /// mirror and hands each cell's candidate run to the fused SoA kernel
+    /// mirror and hands each cell's candidate run to the fused kernel
     /// `batch_arc_nearest` (DESIGN.md §11), which computes the gaps over
     /// the packed-arc mirror and folds the running best in the same pass;
     /// a spilled cell (population past the slab's inline capacity) hands
@@ -107,7 +187,7 @@ class grid_index {
     ///    running best — equivalent to checking every candidate, since a
     ///    banned candidate never updates the best;
     ///  * the kernel's branchless gap is bit-identical to `interval::gap`
-    ///    (see plan_kernels.hpp).
+    ///    (see batch_arc_nearest above).
     template <class Banned>
     [[nodiscard]] std::optional<std::pair<topo::node_id, double>> nearest_if(
         topo::node_id id, Banned banned) const {
@@ -138,7 +218,7 @@ class grid_index {
     /// Invoke `fn(id, d)` for every active root registered in a cell within
     /// `radius` of `rect`'s covered range — a superset of the roots whose
     /// arc lies within `radius` of `rect` — where `d` is the arc distance
-    /// of the candidate to `rect`, computed per cell by the SoA kernel
+    /// of the candidate to `rect`, computed per cell by the kernel
     /// `batch_arc_for_each` (the gap is symmetric bitwise, so it matches a
     /// scalar `candidate.distance(rect)`).  Ids touching several cells are
     /// reported once per cell, and per-cell order follows the slab, so

@@ -1,6 +1,5 @@
 #include "core/merge_solver.hpp"
 
-#include "core/solver_detail.hpp"
 #include "rc/solve.hpp"
 
 #include <algorithm>
@@ -13,9 +12,17 @@ namespace astclk::core {
 
 namespace {
 
-using detail::group_window;
-using detail::kdelay_eps;
-using detail::klen_eps;
+constexpr double klen_eps = 1e-9;     ///< layout units; die is ~1e5
+constexpr double kdelay_eps = 1e-21;  ///< seconds; ~1e-9 ps
+
+/// Feasible window for the delay difference D = e(beta, C_b) - e(alpha, C_a)
+/// imposed by one shared group with intervals a (A side), b (B side):
+/// merged spread <= bound  <=>  D in [a.hi - b.lo - bound, bound + a.lo - b.hi].
+/// The expression order matters — FP addition is not associative.
+geom::interval group_window(const geom::interval& a, const geom::interval& b,
+                            double bound) {
+    return {a.hi - b.lo - bound, bound + a.lo - b.hi};
+}
 
 /// Mutable copy of both sides' electrical state during planning.
 struct working_state {
@@ -130,7 +137,6 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
     p.violation = violation;
     p.cost = alpha + beta;
     for (const auto& s : p.snakes) p.cost += s.gamma;
-    p.order_cost = p.cost;
     p.new_cap = ws.ca + ws.cb + model.wire_cap(alpha + beta);
     const double ea = model.edge_delay(alpha, ws.ca);
     const double eb = model.edge_delay(beta, ws.cb);
@@ -201,9 +207,7 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
         const topo::group_id rep_a = ws.da.entries().front().first;
         const topo::group_id rep_b = ws.db.entries().front().first;
         geom::interval window = geom::interval::all();
-        bool binds = true;
         if (ledger_->same(rep_a, rep_b)) {
-            binds = false;
             const double d_req = ws.da.find(rep_a)->lo -
                                  ws.db.find(rep_b)->lo -
                                  ledger_->offset(rep_a, rep_b);
@@ -217,11 +221,8 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
             }
 #endif
         }
-        merge_plan p = place_split(model_, na, nb, std::move(ws), window,
-                                   static_cast<int>(shared.size()), 0.0,
-                                   std::nullopt);
-        if (binds) p.order_cost += bind_bias_;
-        return p;
+        return place_split(model_, na, nb, std::move(ws), window,
+                           static_cast<int>(shared.size()), 0.0, std::nullopt);
     }
 
     // --- Phase 1: make the per-group windows mutually consistent ----------
@@ -335,7 +336,6 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
     // no-snake range allows it; use the median over group pairs so a few
     // drifted groups cannot hijack the target.
     std::optional<double> soft_target;
-    bool binds = false;
     if (mode_ == consistency_mode::soft) {
         const topo::group_id rep_a = ws.da.entries().front().first;
         const topo::group_id rep_b = ws.db.entries().front().first;
@@ -350,16 +350,12 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
             std::nth_element(cand.begin(), cand.begin() + cand.size() / 2,
                              cand.end());
             soft_target = cand[cand.size() / 2];
-        } else {
-            binds = true;
         }
     }
 
-    merge_plan p = place_split(model_, na, nb, std::move(ws), window,
-                               static_cast<int>(shared.size()), violation,
-                               soft_target);
-    if (binds) p.order_cost += bind_bias_;
-    return p;
+    return place_split(model_, na, nb, std::move(ws), window,
+                       static_cast<int>(shared.size()), violation,
+                       soft_target);
 }
 
 topo::node_id merge_solver::commit(topo::clock_tree& t, topo::node_id a,

@@ -26,6 +26,10 @@
 ///    repair chain exists the pair is rejected and the caller tries another
 ///    pair; a forced variant minimising the worst violation exists for
 ///    pathological endgames.
+///
+/// `merge_solver::plan` is the only merge-plan solver: the engine calls it
+/// for every pair it selects, in both merge orders, and re-keys pairs by
+/// `merge_plan::cost`.
 
 #include "core/offset_ledger.hpp"
 #include "geom/tilted_rect.hpp"
@@ -41,18 +45,18 @@
 
 namespace astclk::core {
 
-/// Memo of true plan order-costs keyed by symmetric pair key (see
-/// pair_key in nn_index.hpp).  The engine's lazy re-keying stores a pair's
-/// solved `merge_plan::order_cost` here the first time it exceeds the arc
-/// distance lower bound; subsequent selections of the pair are keyed by the
+/// Memo of true plan costs keyed by symmetric pair key (see pair_key in
+/// nn_index.hpp).  The engine's lazy re-keying stores a pair's solved
+/// `merge_plan::cost` here the first time it exceeds the arc distance
+/// lower bound; subsequent selections of the pair are keyed by the
 /// cached true cost instead of re-solving the plan.  Entries for merged
 /// roots are never consulted again (node ids are unique), so no
 /// invalidation is needed within one engine run.  Only the cost is kept:
 /// a re-keyed pair popped a second time is solved again (DESIGN.md §3).
 class pair_cost_cache {
   public:
-    void store(std::uint64_t key, double order_cost) {
-        costs_[key] = order_cost;
+    void store(std::uint64_t key, double cost) {
+        costs_[key] = cost;
         // Degree table for the lookup fast path; re-storing a key
         // over-counts, which is harmless (the fast path only needs
         // "nonzero whenever any entry involves the id").
@@ -127,9 +131,6 @@ struct merge_plan {
     double beta = 0.0;   ///< electrical length of the edge to B
     geom::tilted_rect arc;  ///< merging segment of the new root
     double cost = 0.0;      ///< total wire added: alpha + beta + snakes
-    /// Ordering key for the engine: real cost plus any deferral bias (e.g.
-    /// to postpone offset-binding merges); never counted as wire.
-    double order_cost = 0.0;
     double new_cap = 0.0;
     topo::group_delays delays;  ///< delay map of the new root
     std::vector<interior_snake> snakes;
@@ -169,14 +170,6 @@ class merge_solver {
     [[nodiscard]] const offset_ledger* ledger() const { return ledger_; }
     [[nodiscard]] consistency_mode mode() const { return mode_; }
 
-    /// Ordering bias (layout units) added to the engine key of merges that
-    /// would bind two offset components.  Binding freezes an inter-group
-    /// offset forever; deferring such merges lets the free choice absorb
-    /// real delay imbalance instead of committing ~0 offsets while all
-    /// subtrees are still tiny.  Pure ordering pressure — never real wire.
-    void set_bind_deferral_bias(double units) { bind_bias_ = units; }
-    [[nodiscard]] double bind_deferral_bias() const { return bind_bias_; }
-
     /// Solve the merge of roots a and b.  nullopt when the pair has an
     /// irreconcilable multi-group conflict (caller should try another pair).
     [[nodiscard]] std::optional<merge_plan> plan(const topo::clock_tree& t,
@@ -204,7 +197,6 @@ class merge_solver {
     skew_spec spec_;
     offset_ledger* ledger_ = nullptr;  // non-owning; nullable
     consistency_mode mode_ = consistency_mode::windowed;
-    double bind_bias_ = 0.0;
 };
 
 }  // namespace astclk::core

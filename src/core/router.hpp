@@ -118,8 +118,9 @@ struct route_result {
 ///  * `exact_ledger` — globally consistent inter-group offsets throughout:
 ///    zero intra-group skew guaranteed, conflicts impossible, but free
 ///    offsets commit early (conservative wirelength).
-///  * `automatic` — soft_ledger first; if a forced merge left any residual
-///    violation, rerun with the exact ledger (sound *and* usually cheap).
+///  * `automatic` — one run: `exact_ledger` when every bound is zero,
+///    `soft_ledger` otherwise (the exact ledger needs degenerate delay
+///    intervals).  There is no rerun.
 enum class ast_mode {
     automatic,
     windowed,
@@ -134,12 +135,9 @@ struct router_options {
     /// §4) and the nearest-neighbour backend (`engine.backend` — grid by
     /// default, `nn_backend::linear` for the exact-scan verification
     /// backend).  The backend moves wall-clock only; trees are identical
-    /// under either setting.  How plans are solved is not a knob:
-    /// ledger-free solves always run the SoA batch kernels (DESIGN.md §11).
+    /// under either setting.  How plans are solved is not a knob: every
+    /// merge is planned by `merge_solver::plan`.
     engine_options engine;
-    /// AST only: ordering bias (layout units) deferring merges that would
-    /// bind two inter-group offset components (see merge_solver).
-    double bind_deferral_bias = 0.0;
 };
 
 /// Zero-skew tree over all sinks, groups ignored.

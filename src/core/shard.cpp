@@ -159,9 +159,8 @@ route_result sharded_route(const topo::instance& inst,
 
     // Per-shard engine configuration: the shard is the unit of
     // parallelism, so shard reduces run sequentially (no nested executor)
-    // and never re-shard.  Each shard sub-reduce is a full dispatch site
-    // for the SoA batch plan kernels, whose lane math is per-plan
-    // independent, so shard trees do not depend on how the shards are
+    // and never re-shard.  Each shard sub-reduce plans and commits only
+    // on its own tree, so shard trees do not depend on how the shards are
     // scheduled.  When the shard loop fans out, the cancel probe is
     // dropped from the shard tokens — probes are test instrumentation
     // counted on the driving thread only — while the flag/deadline checks

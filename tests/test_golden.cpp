@@ -1,8 +1,7 @@
-// Engine-path certification (DESIGN.md §11).  The engine has one
-// implementation per decision — SoA batch plan kernels with scalar
-// fallback, the slab ring-walk NN query, the degree-pruned ban probe and
-// the per-cell distance fold-in — so there is no second path to compare
-// against at run time.  Instead:
+// Tree bit-identity (DESIGN.md §11).  The engine has one implementation
+// per decision — merge_solver::plan for every merge, the slab ring-walk NN
+// query, the degree-pruned ban probe and the per-cell distance fold-in —
+// so there is no second path to compare against at run time.  Instead:
 //
 //  * golden tree fingerprints: r1–r5 x k {4, 6} x fourteen router
 //    configurations (windowed 0/5 ps, automatic 0/5 ps, soft ledger,
@@ -19,35 +18,20 @@
 //    merge-order semantics moved;
 //  * the reference wirelengths (r1/r3/r5, intermingled k=6, grouping seed
 //    1, windowed AST);
-//  * lane remainders: solve_plan_batch over the accepted merge stream of
-//    a real reduce, replayed at every batch size 1..9 (full chunks,
-//    partial chunks, chunk-of-one) against per-pair scalar plan() —
-//    every plan field compared bitwise;
-//  * fallback accounting: a windowed ledger-free solver takes the fast
-//    path (zero fallbacks on the accepted stream), an exact-ledger solver
-//    replaying its own merge stream bounces every lane, and a routed run books every plan to exactly one
-//    of the two paths;
-//  * ledger-backed routes call plan() directly (kernel counters stay
-//    zero) and their trees match the linear-scan backend's.
-//
-// Run under -DASTCLK_NATIVE=ON (ctest -L kernel) to certify a tuned build.
+//  * a soft-ledger route on the grid backend is identical to the same
+//    route on the linear-scan backend.
 
-#include "core/plan_kernels.hpp"
 #include "core/route_service.hpp"
-#include "core/router_detail.hpp"
 #include "gen/grouping.hpp"
 #include "gen/instance_gen.hpp"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 namespace astclk::core {
 namespace {
@@ -64,8 +48,8 @@ topo::instance paper_instance(const char* name, int groups) {
 enum class config {
     windowed0,        ///< AST windowed, zero skew
     windowed5,        ///< AST windowed, uniform 5 ps
-    automatic,        ///< AST automatic (soft ledger, exact rerun)
-    automatic5,       ///< AST automatic, uniform 5 ps
+    automatic,        ///< AST automatic, zero skew (exact ledger)
+    automatic5,       ///< AST automatic, uniform 5 ps (soft ledger)
     soft,             ///< AST soft ledger
     multi_windowed,   ///< multi-merge rounds, windowed
     multi_automatic,  ///< multi-merge rounds, automatic
@@ -459,7 +443,7 @@ topo::instance golden_instance(const std::string& name, int groups) {
     return inst;
 }
 
-TEST(PlanKernels, GoldenTreeFingerprints) {
+TEST(Golden, GoldenTreeFingerprints) {
     std::map<std::pair<std::string, int>, topo::instance> instances;
     for (const golden_row& g : kgolden) {
         const auto key = std::make_pair(std::string(g.instance), g.groups);
@@ -481,7 +465,7 @@ TEST(PlanKernels, GoldenTreeFingerprints) {
     }
 }
 
-TEST(PlanKernels, ReferenceWirelengths) {
+TEST(Golden, ReferenceWirelengths) {
     const std::pair<const char*, double> refs[] = {
         {"r1", 2045645.3561072454},
         {"r3", 5183649.4927426297},
@@ -494,143 +478,9 @@ TEST(PlanKernels, ReferenceWirelengths) {
     }
 }
 
-// ---------------------------------------------------------- lane remainders
-
-/// The accepted merge stream of a full reduce: internal nodes in creation
-/// order.  Replaying plan() on the final tree reproduces every accepted
-/// solve exactly (subtrees are immutable once merged), which makes the
-/// stream a deterministic workload for the batch solver.
-struct plan_stream {
-    topo::clock_tree tree;
-    std::vector<std::pair<topo::node_id, topo::node_id>> pairs;
-};
-
-plan_stream make_plan_stream(const topo::instance& inst,
-                             const merge_solver& solver) {
-    plan_stream ps;
-    engine_options eopt;
-    eopt.backend = nn_backend::grid;
-    const bottom_up_engine engine(solver, eopt);
-    auto roots = detail::make_leaves(inst, ps.tree, false);
-    const std::size_t leaves = ps.tree.size();
-    engine.reduce(ps.tree, std::move(roots), nullptr);
-    for (std::size_t i = leaves; i < ps.tree.size(); ++i) {
-        const auto& nd = ps.tree.node(static_cast<topo::node_id>(i));
-        ps.pairs.emplace_back(nd.left, nd.right);
-    }
-    return ps;
-}
-
-void expect_same_plan(const std::optional<merge_plan>& got,
-                      const std::optional<merge_plan>& ref,
-                      const std::string& what) {
-    ASSERT_EQ(got.has_value(), ref.has_value()) << what;
-    if (!got.has_value()) return;
-    EXPECT_EQ(got->alpha, ref->alpha) << what;
-    EXPECT_EQ(got->beta, ref->beta) << what;
-    EXPECT_EQ(got->arc, ref->arc) << what;
-    EXPECT_EQ(got->cost, ref->cost) << what;
-    EXPECT_EQ(got->order_cost, ref->order_cost) << what;
-    EXPECT_EQ(got->new_cap, ref->new_cap) << what;
-    EXPECT_EQ(got->delays, ref->delays) << what;
-    EXPECT_EQ(got->shared_groups, ref->shared_groups) << what;
-    EXPECT_EQ(got->violation, ref->violation) << what;
-    ASSERT_EQ(got->snakes.size(), ref->snakes.size()) << what;
-    for (std::size_t i = 0; i < got->snakes.size(); ++i) {
-        EXPECT_EQ(got->snakes[i].side_root, ref->snakes[i].side_root)
-            << what;
-        EXPECT_EQ(got->snakes[i].child, ref->snakes[i].child) << what;
-        EXPECT_EQ(got->snakes[i].gamma, ref->snakes[i].gamma) << what;
-        EXPECT_EQ(got->snakes[i].delay_shift, ref->snakes[i].delay_shift)
-            << what;
-    }
-}
-
-TEST(PlanKernels, EveryBatchSizeBitIdenticalToScalarSolves) {
-    gen::instance_spec spec = gen::paper_spec("r1");
-    auto inst = gen::generate(spec);
-    gen::apply_intermingled_groups(inst, 6, spec.seed + 1);
-    const merge_solver solver(rc::delay_model::elmore(),
-                              skew_spec::uniform(2.0));
-    const plan_stream ps = make_plan_stream(inst, solver);
-    ASSERT_GT(ps.pairs.size(), 32u);  // several full chunks available
-
-    // Scalar reference: one per-pair plan() per accepted merge.
-    std::vector<std::optional<merge_plan>> ref(ps.pairs.size());
-    for (std::size_t i = 0; i < ps.pairs.size(); ++i)
-        ref[i] = solver.plan(ps.tree, ps.pairs[i].first, ps.pairs[i].second);
-
-    // Replay the same stream through the batch solver at every batch size
-    // 1..9: covers chunk-of-one (the engine's solve_one shape), partial
-    // chunks, exact lane multiples, and one-past-a-lane remainders.
-    for (std::size_t bs = 1; bs <= 9; ++bs) {
-        std::vector<std::optional<merge_plan>> got(ps.pairs.size());
-        int fallbacks = 0;
-        for (std::size_t base = 0; base < ps.pairs.size(); base += bs) {
-            const std::size_t n = std::min(bs, ps.pairs.size() - base);
-            fallbacks += solve_plan_batch(solver, ps.tree,
-                                          ps.pairs.data() + base, n,
-                                          got.data() + base);
-        }
-        for (std::size_t i = 0; i < ps.pairs.size(); ++i)
-            expect_same_plan(got[i], ref[i],
-                             "bs=" + std::to_string(bs) +
-                                 " pair=" + std::to_string(i));
-        // The accepted stream of a windowed ledger-free reduce is all
-        // fast-path work: every accepted merge had a non-empty first
-        // window, so no lane bounces regardless of grouping.
-        EXPECT_EQ(fallbacks, 0) << "bs=" << bs;
-    }
-}
-
-// ------------------------------------------------------ fallback accounting
-
-TEST(PlanKernels, LedgerBackedSolverBouncesEveryLane) {
-    gen::instance_spec spec = gen::paper_spec("r1");
-    spec.num_sinks = 64;
-    auto inst = gen::generate(spec);
-    gen::apply_intermingled_groups(inst, 4, spec.seed + 1);
-    // The stream comes from the exact-ledger solver itself (zero spec, its
-    // own ledger), so each replayed merge reads the offsets its own commit
-    // bound — the only state in which an exact-ledger plan() is defined.
-    offset_ledger ledger(4);
-    const merge_solver ledgered(rc::delay_model::elmore(), skew_spec::zero(),
-                                &ledger, consistency_mode::exact);
-    const plan_stream ps = make_plan_stream(inst, ledgered);
-    std::vector<std::optional<merge_plan>> out(ps.pairs.size());
-    const int fb = solve_plan_batch(ledgered, ps.tree, ps.pairs.data(),
-                                    ps.pairs.size(), out.data());
-    // Non-windowed solver modes are general-path lanes by contract: the
-    // batch solver must bounce all of them to scalar plan() verbatim.
-    EXPECT_EQ(fb, static_cast<int>(ps.pairs.size()));
-    for (std::size_t i = 0; i < ps.pairs.size(); ++i)
-        expect_same_plan(out[i],
-                         ledgered.plan(ps.tree, ps.pairs[i].first,
-                                       ps.pairs[i].second),
-                         "ledgered pair=" + std::to_string(i));
-}
-
-TEST(PlanKernels, KernelCountersBookWhoSolvedWhat) {
-    const auto inst = paper_instance("r1", 6);
-    // Ledger-free windowed routes solve through the batch kernels on
-    // either NN backend, and every accepted merge was solved by exactly
-    // one of the two paths (rejected pairs were solved too, hence >=).
-    for (const config c : {config::windowed0, config::linear}) {
-        const auto r = route_config(inst, c);
-        ASSERT_TRUE(r.ok()) << r.status_message;
-        EXPECT_GT(r.stats.batch_planned, 0);
-        EXPECT_GE(r.stats.batch_planned + r.stats.kernel_fallbacks,
-                  r.stats.merges);
-    }
-    // Multi-merge rounds pre-plan their candidates through the kernels.
-    const auto multi = route_config(inst, config::multi_windowed);
-    ASSERT_TRUE(multi.ok()) << multi.status_message;
-    EXPECT_GT(multi.stats.batch_planned, 0);
-}
-
 // ------------------------------------------------------------- soft ledger
 
-TEST(PlanKernels, SoftLedgerRouteGatesBatchOffAndStaysIdentical) {
+TEST(Golden, SoftLedgerGridMatchesLinearScan) {
     const auto inst = paper_instance("r2", 6);
     routing_request req;
     req.instance = &inst;
@@ -641,12 +491,8 @@ TEST(PlanKernels, SoftLedgerRouteGatesBatchOffAndStaysIdentical) {
     const auto ref = route(req);
     ASSERT_TRUE(got.ok()) << got.status_message;
     ASSERT_TRUE(ref.ok()) << ref.status_message;
-    // Ledger-backed planning calls plan() directly: no lane would qualify
-    // for the fast path, so nothing is booked to any kernel counter.
-    EXPECT_EQ(got.stats.batch_planned, 0);
-    EXPECT_EQ(got.stats.kernel_fallbacks, 0);
-    // Its grid queries still run the slab walk and the per-cell fold-in;
-    // the linear scan is the oracle for both.
+    // The grid queries run the slab walk and the per-cell fold-in; the
+    // linear scan is the oracle for both.
     EXPECT_EQ(got.wirelength, ref.wirelength);
     EXPECT_EQ(got.stats.merges, ref.stats.merges);
     EXPECT_EQ(got.stats.rejected_pairs, ref.stats.rejected_pairs);
