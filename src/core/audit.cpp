@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstddef>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
 
@@ -158,6 +159,49 @@ struct grid_inspector {
 std::string verify_grid_vs_live_set(const grid_index& g,
                                     const topo::clock_tree& t) {
     return grid_inspector::check(g, t);
+}
+
+std::string verify_nn_records(const topo::clock_tree& t,
+                              const std::vector<topo::node_id>& active,
+                              const std::vector<topo::node_id>& nn_to,
+                              const std::vector<double>& nn_dist,
+                              const std::unordered_set<std::uint64_t>& banned) {
+    // A plain scan over a contiguous copy of the active arcs: shares no
+    // code with either NN backend, and stays cheap enough to run every
+    // 64th selection step.
+    std::vector<geom::tilted_rect> arcs;
+    arcs.reserve(active.size());
+    for (const topo::node_id j : active) arcs.push_back(t.node(j).arc);
+    for (std::size_t x = 0; x < active.size(); ++x) {
+        const topo::node_id i = active[x];
+        topo::node_id want = topo::knull_node;
+        double want_d = std::numeric_limits<double>::infinity();
+        for (std::size_t y = 0; y < active.size(); ++y) {
+            const topo::node_id j = active[y];
+            if (j == i) continue;
+            const double d = arcs[x].distance(arcs[y]);
+            if ((d < want_d || (d == want_d && j < want)) &&
+                banned.count(pair_key(i, j)) == 0) {
+                want_d = d;
+                want = j;
+            }
+        }
+        const auto si = static_cast<std::size_t>(i);
+        const topo::node_id have =
+            si < nn_to.size() ? nn_to[si] : topo::knull_node;
+        if (have == want && (want == topo::knull_node || nn_dist[si] == want_d))
+            continue;
+        std::ostringstream err;
+        err << "root " << i << " records partner " << have;
+        if (have != topo::knull_node) err << " at " << nn_dist[si];
+        err << " but its nearest unbanned partner is ";
+        if (want != topo::knull_node)
+            err << want << " at " << want_d;
+        else
+            err << "none";
+        return err.str();
+    }
+    return {};
 }
 
 std::string verify_scratch_lease_balance(const routing_context& ctx) {

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace astclk::core {
@@ -85,21 +86,92 @@ void checkpoint(const char* site, const std::string& diagnostic);
 [[nodiscard]] std::string verify_grid_vs_live_set(const grid_index& g,
                                                   const topo::clock_tree& t);
 
-/// D-ary heap order over a caller-owned vector (the engine's selection
-/// and radius heaps): no element orders above its parent under `Cmp`
-/// (dary_heap.hpp semantics — the comparator-maximum sits at front()).
-template <class Cmp, std::size_t D = kheap_arity, class T>
-[[nodiscard]] std::string verify_heap_invariant(const std::vector<T>& h) {
-    const Cmp less{};
-    for (std::size_t i = 1; i < h.size(); ++i) {
-        const std::size_t parent = (i - 1) / D;
-        if (less(h[parent], h[i]))
-            return "heap invariant violated: element " + std::to_string(i) +
-                   " orders above its parent " + std::to_string(parent) +
-                   " (heap size " + std::to_string(h.size()) + ")";
+/// Addressable heap soundness (dary_heap.hpp), over the heap's entries in
+/// slot order and its owner -> slot map: no entry orders before its
+/// parent, and the map is exact both ways — every entry's owner maps to
+/// the entry's slot, and no other owner is mapped.  Taking the two vectors
+/// rather than the heap lets tests seed corruptions into copies.
+template <class Heap>
+[[nodiscard]] std::string verify_heap_invariant(
+    const std::vector<typename Heap::value_type>& items,
+    const std::vector<std::uint32_t>& pos) {
+    const typename Heap::before_type before{};
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        if (i > 0) {
+            const std::size_t parent = (i - 1) / Heap::arity;
+            if (before(items[i], items[parent]))
+                return "heap invariant violated: element " +
+                       std::to_string(i) + " orders above its parent " +
+                       std::to_string(parent) + " (heap size " +
+                       std::to_string(items.size()) + ")";
+        }
+        const std::size_t id = Heap::owner(items[i]);
+        if (id >= pos.size() || pos[id] != i)
+            return "position map: owner " + std::to_string(id) + " of slot " +
+                   std::to_string(i) + " is not mapped to it";
     }
+    std::size_t mapped = 0;
+    for (const std::uint32_t p : pos) mapped += p != Heap::npos ? 1 : 0;
+    if (mapped != items.size())
+        return "position map holds " + std::to_string(mapped) +
+               " owners for " + std::to_string(items.size()) + " entries";
     return {};
 }
+
+template <class Heap>
+[[nodiscard]] std::string verify_heap_invariant(const Heap& h) {
+    return verify_heap_invariant<Heap>(h.items(), h.positions());
+}
+
+/// The nearest-pair engine's records against its two heaps: every
+/// selection entry (owner a, partner b) names a's record — b == nn_to[a],
+/// dist == nn_dist[a] — every radius entry carries its owner's nn_dist,
+/// and every active root with a partner owns an entry in each heap (so no
+/// entry outlives its record).
+template <class SelHeap, class RadHeap>
+[[nodiscard]] std::string verify_selection_records(
+    const SelHeap& sel, const RadHeap& rad,
+    const std::vector<topo::node_id>& active,
+    const std::vector<topo::node_id>& nn_to,
+    const std::vector<double>& nn_dist) {
+    for (const auto& e : sel.items()) {
+        const auto a = static_cast<std::size_t>(e.a);
+        if (a >= nn_to.size() || nn_to[a] != e.b || nn_dist[a] != e.dist)
+            return "selection entry (" + std::to_string(e.a) + ", " +
+                   std::to_string(e.b) + ") does not match its owner's record";
+    }
+    for (const auto& e : rad.items()) {
+        const auto a = static_cast<std::size_t>(e.a);
+        if (a >= nn_to.size() || nn_to[a] == topo::knull_node ||
+            nn_dist[a] != e.dist)
+            return "radius entry of " + std::to_string(e.a) +
+                   " does not match its owner's record";
+    }
+    std::size_t with_partner = 0;
+    for (const topo::node_id i : active) {
+        const auto si = static_cast<std::size_t>(i);
+        if (si >= nn_to.size() || nn_to[si] == topo::knull_node) continue;
+        ++with_partner;
+        if (!sel.contains(si) || !rad.contains(si))
+            return "active root " + std::to_string(i) +
+                   " has a record but no heap entry";
+    }
+    if (sel.size() != with_partner || rad.size() != with_partner)
+        return "heaps hold " + std::to_string(sel.size()) + " / " +
+               std::to_string(rad.size()) + " entries for " +
+               std::to_string(with_partner) + " records";
+    return {};
+}
+
+/// Every active root's record against a linear scan: nn_to[i] and
+/// nn_dist[i] are i's nearest active partner whose pair is not in
+/// `banned` (ties to the smaller id), and a root without one (knull)
+/// really has none.  O(active^2): the engine runs it every 64th step.
+[[nodiscard]] std::string verify_nn_records(
+    const topo::clock_tree& t, const std::vector<topo::node_id>& active,
+    const std::vector<topo::node_id>& nn_to,
+    const std::vector<double>& nn_dist,
+    const std::unordered_set<std::uint64_t>& banned);
 
 /// Scratch-lease bookkeeping of a *quiesced* routing_context: every
 /// engine_scratch ever allocated must be back in the pool once no request

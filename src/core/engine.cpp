@@ -19,17 +19,29 @@ namespace astclk::core {
 /// reinitialises the *contents* while keeping the capacity, so a reused
 /// scratch produces bit-identical runs and merely skips the allocations.
 struct engine_scratch::impl {
+    /// A root's selection record: owner `a`, its nearest unbanned partner
+    /// `b`, and the pair's key.
     struct sel_entry {
         double key;   ///< ordering key: distance lower bound or cached cost
         double dist;  ///< arc distance (stats baseline)
         topo::node_id a, b;
-        std::uint32_t gen;  ///< gen[a] at push; mismatch = stale
-        bool cached;        ///< key is the true plan cost
+        bool cached;  ///< key is the true plan cost
+    };
+    struct sel_before {  // min on (key, a, b)
+        bool operator()(const sel_entry& x, const sel_entry& y) const {
+            if (x.key != y.key) return x.key < y.key;
+            if (x.a != y.a) return x.a < y.a;
+            return x.b < y.b;
+        }
     };
     struct rad_entry {
-        double dist;
+        double dist;  ///< nn_dist of owner `a`
         topo::node_id a;
-        std::uint32_t gen;
+    };
+    struct rad_before {  // max on dist
+        bool operator()(const rad_entry& x, const rad_entry& y) const {
+            return x.dist > y.dist;
+        }
     };
 
     std::unordered_set<std::uint64_t> banned;
@@ -42,21 +54,21 @@ struct engine_scratch::impl {
     pair_cost_cache cost_cache;
     std::vector<topo::node_id> nn_to;  ///< id -> current NN (knull: none)
     std::vector<double> nn_dist;       ///< id -> distance to nn_to
-    std::vector<std::uint32_t> gen;    ///< id -> generation counter
     std::vector<std::vector<topo::node_id>> rev;  ///< id -> roots whose NN it is
     std::unordered_set<topo::node_id> starved;    ///< all partners banned
-    std::vector<sel_entry> heap;    ///< selection min-heap (4-ary, dary_heap)
-    std::vector<rad_entry> radius;  ///< influence-radius max-heap (4-ary)
+    /// One entry per root that has a partner, updated in place
+    /// (dary_heap.hpp): the selection heap keyed (key, a, b), and the
+    /// influence-radius heap whose top is the largest nn_dist.
+    addressable_heap<sel_entry, sel_before, &sel_entry::a> heap;
+    addressable_heap<rad_entry, rad_before, &rad_entry::a> radius;
     // Multi-merge round buffers: slot-indexed NN records and the round's
     // pre-solved plans, one slot per candidate (disjoint slots, so a
     // fanned-out round stays deterministic).
     std::vector<std::pair<topo::node_id, double>> round_nn;
     std::vector<std::optional<merge_plan>> round_plans;
-    // Per-step work lists reused across the run (integrate's affected
-    // roots, pop_cheapest's equal-key losers): both are cleared before
+    // integrate's affected roots, reused across the run: cleared before
     // use, so reuse only spares the per-call allocation.
     std::vector<topo::node_id> affected;
-    std::vector<sel_entry> losers;
 
     /// Reinitialise for a run over a tree that currently has `ids` nodes.
     void reset(std::size_t ids) {
@@ -68,7 +80,6 @@ struct engine_scratch::impl {
         radius.clear();
         nn_to.assign(ids, topo::knull_node);
         nn_dist.assign(ids, 0.0);
-        gen.assign(ids, 0);
         if (rev.size() < ids) rev.resize(ids);
         for (auto& r : rev) r.clear();
     }
@@ -84,36 +95,6 @@ namespace {
 constexpr double kcost_slack = 1e-9;  // layout units
 
 using sel_entry = engine_scratch::impl::sel_entry;
-using rad_entry = engine_scratch::impl::rad_entry;
-
-struct sel_order {  // min-heap on (key, a, b)
-    bool operator()(const sel_entry& x, const sel_entry& y) const {
-        if (x.key != y.key) return x.key > y.key;
-        if (x.a != y.a) return x.a > y.a;
-        return x.b > y.b;
-    }
-};
-struct rad_order {  // max-heap on dist
-    bool operator()(const rad_entry& x, const rad_entry& y) const {
-        return x.dist < y.dist;
-    }
-};
-
-// The heaps are 4-ary implicit heaps over the scratch vectors
-// (dary_heap.hpp).  Pop order under sel_order — a *total* order on
-// (key, a, b) — is the sorted drain of the multiset regardless of arity,
-// so the switch from the former std::push_heap/pop_heap binary layout is
-// bit-identical by construction (and asserted by tests/test_dary_heap.cpp);
-// rad_order ties are resolved arbitrarily, but current_radius only reads
-// the dist *value*, which is the same for every tied top.
-template <class Cmp, class T>
-void heap_push(std::vector<T>& h, const T& e) {
-    dary_push<Cmp>(h, e);
-}
-template <class Cmp, class T>
-void heap_pop(std::vector<T>& h) {
-    dary_pop<Cmp>(h);
-}
 
 /// Inlined ban predicate (no std::function on the hot path): the packed
 /// pair key carries both endpoint ids (pair_key, nn_index.hpp), so the
@@ -155,11 +136,12 @@ void ban_pair(engine_scratch::impl& s, topo::node_id a, topo::node_id b) {
 /// concurrent queries between commits are safe.
 template <class Index>
 std::optional<std::pair<topo::node_id, double>> nearest_unbanned(
-    const Index& idx, const engine_scratch::impl& s, topo::node_id i) {
+    const Index& idx, const engine_scratch::impl& s, topo::node_id i,
+    nn_floor floor = {}) {
     const auto si = static_cast<std::size_t>(i);
     if (si >= s.ban_deg.size() || s.ban_deg[si] == 0)
-        return idx.nearest_if(i, no_bans{});
-    return idx.nearest_if(i, ban_table_fast{&s.banned, &s.ban_deg});
+        return idx.nearest_if(i, no_bans{}, floor);
+    return idx.nearest_if(i, ban_table_fast{&s.banned, &s.ban_deg}, floor);
 }
 
 void note_plan(const merge_plan& p, double dist, engine_stats& st) {
@@ -236,19 +218,19 @@ class nearest_reducer {
 #ifdef ASTCLK_AUDIT
             audit_checkpoint(++audit_step);
 #endif
-            const auto popped = pop_cheapest();
-            if (!popped.has_value()) {
+            const auto selected = select_cheapest();
+            if (!selected.has_value()) {
                 forced_step();
                 continue;
             }
-            const auto [key, dist, a, b, gen, cached] = *popped;
-            (void)gen;
+            // The entry stays in the heap: every branch below replaces or
+            // erases it.
+            const auto [key, dist, a, b, cached] = *selected;
             auto plan = solver_.plan(t_, a, b);
             if (!plan.has_value()) {
                 ban_pair(s_, a, b);
                 ++st_.rejected_pairs;
-                recompute(a);
-                recompute(b);
+                reject(a, b);
                 continue;
             }
             if (opt_.true_cost_ordering && !cached &&
@@ -256,10 +238,8 @@ class nearest_reducer {
                 // Lazy re-key: the true cost (snaking included) exceeds the
                 // distance bound — another pair may now be cheaper.  Only
                 // the cost is kept; the plan is solved again if the pair is
-                // popped a second time (DESIGN.md §3).
-                s_.cost_cache.store(pair_key(a, b), plan->cost);
-                heap_push<sel_order>(
-                    s_.heap, {plan->cost, dist, a, b, gen_at(a), true});
+                // selected a second time (DESIGN.md §3).
+                rekey(a, b, plan->cost);
                 continue;
             }
             const topo::node_id c = solver_.commit(t_, a, b, *plan);
@@ -275,37 +255,41 @@ class nearest_reducer {
         if (s_.nn_to.size() >= need) return;
         s_.nn_to.resize(need, topo::knull_node);
         s_.nn_dist.resize(need, 0.0);
-        s_.gen.resize(need, 0);
         if (s_.rev.size() < need) s_.rev.resize(need);
-    }
-
-    [[nodiscard]] std::uint32_t gen_at(topo::node_id i) const {
-        return s_.gen[static_cast<std::size_t>(i)];
     }
 
 #ifdef ASTCLK_AUDIT
     /// Audit-build hook riding the selection checkpoint (DESIGN.md §12):
-    /// cheap structural checks every step — both scratch heaps ordered and
-    /// the stats books internally consistent — and the full grid-vs-live-set
-    /// cross-check (which walks every cell) every 64th step and on the first.
+    /// cheap structural checks every step — both heaps ordered with exact
+    /// position maps, one selection and one radius entry per record, each
+    /// naming the record's partner and distance, and the stats books
+    /// internally consistent — and every 64th step (and the first) the
+    /// full grid-vs-live-set cross-check and a linear-scan check that every
+    /// record is its root's nearest unbanned partner, the invariant the
+    /// rejection floors rely on.
     void audit_checkpoint(std::uint64_t step) {
         audit::checkpoint("selection/heap",
-                          audit::verify_heap_invariant<sel_order>(s_.heap));
-        audit::checkpoint(
-            "selection/radius",
-            audit::verify_heap_invariant<rad_order>(s_.radius));
+                          audit::verify_heap_invariant(s_.heap));
+        audit::checkpoint("selection/radius",
+                          audit::verify_heap_invariant(s_.radius));
+        audit::checkpoint("selection/records",
+                          audit::verify_selection_records(
+                              s_.heap, s_.radius, idx_.active(), s_.nn_to,
+                              s_.nn_dist));
         audit::checkpoint("selection/stats", audit::verify_stats_books(st_));
-        if constexpr (std::is_same_v<Index, grid_index>) {
-            if (step % 64 == 1)
-                audit::checkpoint("selection/grid",
-                                  audit::verify_grid_vs_live_set(idx_, t_));
-        }
+        if (step % 64 != 1) return;
+        if constexpr (std::is_same_v<Index, grid_index>)
+            audit::checkpoint("selection/grid",
+                              audit::verify_grid_vs_live_set(idx_, t_));
+        audit::checkpoint("selection/nn",
+                          audit::verify_nn_records(t_, idx_.active(), s_.nn_to,
+                                                   s_.nn_dist, s_.banned));
     }
 #endif
 
     /// Point i's nearest-neighbour record at (j, d); maintains the reverse
-    /// lists, the generation counter, and both heaps.  j == knull means
-    /// "no eligible partner" (all banned) and parks i in the starved set.
+    /// lists and both heap entries.  j == knull means "no eligible partner"
+    /// (all banned) and parks i in the starved set.
     void set_nn(topo::node_id i, topo::node_id j, double d) {
         const auto si = static_cast<std::size_t>(i);
         const topo::node_id old = s_.nn_to[si];
@@ -315,8 +299,9 @@ class nearest_reducer {
         }
         s_.nn_to[si] = j;
         s_.nn_dist[si] = d;
-        ++s_.gen[si];
         if (j == topo::knull_node) {
+            s_.heap.erase(si);
+            s_.radius.erase(si);
             s_.starved.insert(i);
             return;
         }
@@ -326,84 +311,68 @@ class nearest_reducer {
         if (!s_.starved.empty()) s_.starved.erase(i);
         s_.rev[static_cast<std::size_t>(j)].push_back(i);
         const auto cv = s_.cost_cache.lookup(pair_key(i, j));
-        heap_push<sel_order>(s_.heap,
-                             {cv.value_or(d), d, i, j, s_.gen[si],
-                              cv.has_value()});
-        heap_push<rad_order>(s_.radius, {d, i, s_.gen[si]});
+        s_.heap.set({cv.value_or(d), d, i, j, cv.has_value()});
+        s_.radius.set({d, i});
     }
 
-    void recompute(topo::node_id i) {
-        const auto n = nearest_unbanned(idx_, s_, i);
+    /// Recompute i's record; `floor` skips candidates known to be banned.
+    void recompute(topo::node_id i, nn_floor floor = {}) {
+        const auto n = nearest_unbanned(idx_, s_, i, floor);
         if (n.has_value())
             set_nn(i, n->first, n->second);
         else
             set_nn(i, topo::knull_node, 0.0);
     }
 
-    /// Pop one live entry off the heap: skips superseded generations and
-    /// lazily re-keys entries whose cached true cost exceeds their key.
-    std::optional<sel_entry> pop_valid() {
-        while (!s_.heap.empty()) {
-            const sel_entry e = s_.heap.front();
-            heap_pop<sel_order>(s_.heap);
-            if (e.gen != gen_at(e.a)) continue;  // superseded or erased
-            if (!e.cached) {
-                if (const auto cv = s_.cost_cache.lookup(pair_key(e.a, e.b));
-                    cv.has_value() && *cv > e.key) {
-                    heap_push<sel_order>(s_.heap,
-                                         {*cv, e.dist, e.a, e.b, e.gen, true});
-                    continue;
-                }
-            }
-            return e;
-        }
-        return std::nullopt;
+    /// Records after banning the selected pair (a, b).  a's record (d, b)
+    /// was a's nearest unbanned partner — the lexicographic minimum (d, id)
+    /// over a's candidates — so every candidate at or below it is now
+    /// banned and a's next partner lies above it: the query floors there
+    /// and probes none of them.  b's record changes only if it named a,
+    /// in which case it was b's minimum and floors the same way; any other
+    /// record of b is still b's minimum, since the ban removed a candidate
+    /// that was not.
+    void reject(topo::node_id a, topo::node_id b) {
+        const auto sa = static_cast<std::size_t>(a);
+        const auto sb = static_cast<std::size_t>(b);
+        assert(s_.nn_to[sa] == b);
+        recompute(a, {s_.nn_dist[sa], b});
+        if (s_.nn_to[sb] == a) recompute(b, {s_.nn_dist[sb], a});
     }
 
-    /// Pop the cheapest live candidate; nullopt when every remaining pair
-    /// is banned (the forced-merge endgame).  Equal-key groups are drained
-    /// and resolved by the owner's active-slot order — exactly the
+    /// Key the selected pair (a, b) by its true plan cost: a's entry, and
+    /// b's when b's record names a, so every entry carries the key a
+    /// later set_nn would give it.
+    void rekey(topo::node_id a, topo::node_id b, double cost) {
+        s_.cost_cache.store(pair_key(a, b), cost);
+        const auto sa = static_cast<std::size_t>(a);
+        const auto sb = static_cast<std::size_t>(b);
+        s_.heap.set({cost, s_.nn_dist[sa], a, b, true});
+        if (s_.nn_to[sb] == a) s_.heap.set({cost, s_.nn_dist[sb], b, a, true});
+    }
+
+    /// The cheapest candidate, left in the heap; nullopt when no root has
+    /// an unbanned partner (the forced-merge endgame).  Entries tied on the
+    /// top key are resolved by the owner's active-slot order — exactly the
     /// tie-break of the former O(n) selection sweep, so the heap engine
-    /// reproduces its trees bit-for-bit.  Losers go straight back on the
-    /// heap (generations untouched), so the drain is O(group * log n).
-    std::optional<sel_entry> pop_cheapest() {
-        auto best = pop_valid();
-        if (!best.has_value()) return std::nullopt;
-        auto& losers = s_.losers;
-        losers.clear();
-        while (!s_.heap.empty() && s_.heap.front().key == best->key) {
-            const sel_entry e = s_.heap.front();
-            heap_pop<sel_order>(s_.heap);
-            if (e.gen != gen_at(e.a)) continue;
-            if (!e.cached) {
-                if (const auto cv = s_.cost_cache.lookup(pair_key(e.a, e.b));
-                    cv.has_value() && *cv > e.key) {
-                    heap_push<sel_order>(s_.heap,
-                                         {*cv, e.dist, e.a, e.b, e.gen, true});
-                    continue;  // re-keyed above the group; out of contention
-                }
-            }
-            if (idx_.slot_of(e.a) < idx_.slot_of(best->a)) {
-                losers.push_back(*best);
-                best = e;
-            } else {
-                losers.push_back(e);
-            }
-        }
-        for (const sel_entry& l : losers) heap_push<sel_order>(s_.heap, l);
-        return best;
+    /// reproduces its trees bit-for-bit.  Heap order puts every tied entry
+    /// in a prefix below the top, so the walk reads the tie group only.
+    [[nodiscard]] std::optional<sel_entry> select_cheapest() const {
+        if (s_.heap.empty()) return std::nullopt;
+        const sel_entry* best = &s_.heap.top();
+        const double key = best->key;
+        s_.heap.for_each_top(
+            [key](const sel_entry& e) { return e.key == key; },
+            [&](const sel_entry& e) {
+                if (idx_.slot_of(e.a) < idx_.slot_of(best->a)) best = &e;
+            });
+        return *best;
     }
 
-    /// Current nearest-neighbour influence radius: the largest up-to-date
-    /// nn distance over active roots (stale heap tops are discarded; any
-    /// survivor only overestimates, which is admissible).
-    double current_radius() {
-        while (!s_.radius.empty()) {
-            const rad_entry e = s_.radius.front();
-            if (e.gen == gen_at(e.a)) return e.dist;
-            heap_pop<rad_order>(s_.radius);
-        }
-        return 0.0;
+    /// Current nearest-neighbour influence radius: the largest nn distance
+    /// over the active roots' records.
+    [[nodiscard]] double current_radius() const {
+        return s_.radius.empty() ? 0.0 : s_.radius.top().dist;
     }
 
     void erase_node(topo::node_id i) {
@@ -415,7 +384,8 @@ class nearest_reducer {
             r.erase(std::find(r.begin(), r.end(), i));
         }
         s_.nn_to[si] = topo::knull_node;
-        ++s_.gen[si];  // invalidates every heap entry owned by i
+        s_.heap.erase(si);
+        s_.radius.erase(si);
         if (!s_.starved.empty()) s_.starved.erase(i);
     }
 

@@ -10,9 +10,9 @@
 ///
 /// Pair selection follows the paper's minimum-merging-cost scheme with two
 /// optional enhancements from Ch. V-F:
-///   * lazy true-cost re-keying — pairs popped by the distance lower bound
-///     are re-inserted with their full plan cost (snake wire included) when
-///     it exceeds the next candidate's key;
+///   * lazy true-cost re-keying — pairs selected by the distance lower
+///     bound are re-keyed with their full plan cost (snake wire included)
+///     when it exceeds the bound;
 ///   * Edahiro-style multi-merge rounds — all *mutually* nearest pairs are
 ///     merged per round, cutting nearest-neighbour recomputations.
 ///
@@ -25,24 +25,33 @@
 ///     pair queries with no ban probe at all;
 ///   * every selected pair is solved by `merge_solver::plan`, the one
 ///     merge-plan solver;
-///   * the cheapest pair is popped from a global lazy-deletion min-heap
-///     keyed by the distance lower bound (re-keyed with cached true plan
-///     cost); per-node generation counters invalidate stale entries instead
-///     of rescanning the active set; both the selection and radius heaps
-///     are 4-ary implicit heaps over reusable scratch vectors
-///     (dary_heap.hpp) — same pop order as the former binary heaps, half
-///     the sift depth;
+///   * every root with a partner keeps one nearest-neighbour record (its
+///     nearest unbanned partner) and one entry in each of two addressable
+///     4-ary heaps (dary_heap.hpp) that a record change updates or erases
+///     in place: the selection heap, keyed by the distance lower bound
+///     (or the pair's cached true plan cost) with (key, a, b) order, whose
+///     top is the cheapest pair, and the influence-radius heap, whose top
+///     is the largest record distance.  Neither heap ever holds a stale
+///     entry, so selection reads the top and the radius is one load;
+///   * a rejected pair is exact to repair: the selected pair (a, b) was
+///     a's record, the lexicographic minimum (distance, id) over a's
+///     unbanned candidates, so after banning it every candidate at or
+///     below that record is banned and a's new partner lies strictly
+///     above it.  a's query takes the record as a floor and skips those
+///     candidates without a ban probe; b's record is recomputed the same
+///     way only if it named a, and otherwise stays, because the ban
+///     removed a candidate that was not b's minimum;
 ///   * after each commit only the affected neighbourhoods are touched:
 ///     roots whose nearest neighbour was one of the merged pair (tracked by
 ///     reverse-NN lists) are recomputed, and the new root is folded into
 ///     roots within the current nearest-neighbour influence radius — no
 ///     global recompute, in the forced-merge path included.
 ///
-/// The nearest-pair reduction is one sequential loop — pop, solve, then
+/// The nearest-pair reduction is one sequential loop — select, solve, then
 /// commit, ban or re-key — because the greedy merge order makes every
 /// selection depend on the previous commit.  A re-keyed pair keeps only its
-/// true cost (pair_cost_cache) and is solved again if it is popped a second
-/// time (DESIGN.md §3).
+/// true cost (pair_cost_cache) and is solved again if it is selected a
+/// second time (DESIGN.md §3).
 ///
 /// Pairs whose merge is infeasible (irreconcilable multi-group conflicts,
 /// Ch. V-E) are banned and re-proposed only if nothing else remains, in

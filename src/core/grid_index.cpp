@@ -51,6 +51,11 @@ void grid_index::size_to(const std::vector<topo::node_id>& items) {
         nv_ = std::max(1, static_cast<int>(std::floor(bv.length() / cell_)) + 1);
     }
     inv_cell_ = 1.0 / cell_;
+    // Rounding in range_of's cell map and in the distance kernel is a few
+    // ulps of the coordinate scale; 1e-9 of it is far above that and far
+    // below any cell side.
+    margin_eps_ = 1e-9 * (std::max(std::abs(u_lo_), std::abs(v_lo_)) +
+                          extent + cell_);
     cells_.assign(static_cast<std::size_t>(nu_) * static_cast<std::size_t>(nv_),
                   {});
     slab_.assign(cells_.size(), {});

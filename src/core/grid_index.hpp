@@ -23,14 +23,40 @@
 /// argument.
 ///
 /// `nearest_if` runs a ring (spiral) expansion outward from the query
-/// arc's covered cell range, with that (r-1) * cell admissible lower
-/// bound stopping the search as soon as the next ring cannot beat (or
-/// tie) the best candidate found.  Because arcs are registered in *every*
-/// overlapped cell, a candidate is always discovered at the ring of its
-/// closest cell.  Rings are scanned to `lb <= best` (not `<`) so
-/// equal-distance candidates in farther rings still participate in the
-/// deterministic `other < best` tie-break — the grid returns
-/// bit-identical answers to nn_index.
+/// arc's covered cell range, with an admissible lower bound stopping the
+/// search as soon as the next ring cannot beat (or tie) the best
+/// candidate found.  Because arcs are registered in *every* overlapped
+/// cell, a candidate is always discovered at the ring of its closest
+/// cell.  Rings are scanned to `lb <= best` (not `<`) so equal-distance
+/// candidates in farther rings still participate in the deterministic
+/// `other < best` tie-break — the grid returns bit-identical answers to
+/// nn_index.
+///
+/// **Ring bound with margin.**  The bound for ring r >= 1 is
+/// (r-1) * cell + m, where m is the query arc's distance to the nearest
+/// edge of its own covered cell range (the least of four side margins),
+/// less an FP epsilon and floored at 0.  Why it is admissible: a
+/// candidate first met at ring r is separated from the covered range by
+/// at least r cells along some axis, say past the range's upper u edge;
+/// its low u edge then lies at or beyond the start of cell u1 + r, while
+/// the query's high u edge lies the right-side margin short of the end
+/// of cell u1, so the u gap alone is at least (r-1) * cell plus that
+/// margin.  Clamping keeps this true on both sides:
+///  * candidate side: the one fact used is "registered in cell k past
+///    the range's upper edge, so its low edge is at or beyond cell k's
+///    start" (mirrored for the lower edge).  An index clamped down from
+///    beyond the last cell keeps it, since the true edge lies farther out
+///    still; an index clamped up to cell 0 is never past the upper edge;
+///  * query side: an edge clamped into a border cell lies outside the
+///    grid, so its own side margin is negative and m falls to 0 — the
+///    plain (r-1) * cell bound that the 1-Lipschitz argument above
+///    covers.  (That side is vacuous anyway: no cell lies beyond the
+///    border.)
+/// The epsilon (1e-9 of the grid's coordinate scale, far above the
+/// rounding of the cell map and the distance kernel, far below any cell)
+/// covers coordinates that `range_of`'s floor assigns across a cell
+/// boundary by an ulp.  With the margin, a query whose ring-0 best is
+/// nearer than its cell edges stops before ring 1.
 ///
 /// Cell size is chosen for ~O(1) expected occupancy: the bounding extent
 /// divided by ceil(sqrt(n)) cells per axis.
@@ -88,18 +114,18 @@ struct packed_arc {
 /// so query-vs-candidate and candidate-vs-query orientations agree
 /// bitwise.
 ///
-/// `center` is skipped (a query never partners itself) and `banned` is
-/// consulted only for candidates that would improve the running best — a
-/// banned candidate never updates the best either way, so this computes
-/// exactly the min of a check-every-candidate scan.  The min over a
-/// candidate multiset is visit-order independent, so callers may present
-/// candidates in any order (the slab cells do).
+/// `center` is skipped (a query never partners itself); `floor` and
+/// `banned` are consulted only for candidates that would improve the
+/// running best — a skipped candidate never updates the best either way,
+/// so this computes exactly the min of a check-every-candidate scan.  The
+/// min over a candidate multiset is visit-order independent, so callers
+/// may present candidates in any order (the slab cells do).
 template <class Banned>
 inline void batch_arc_nearest(const packed_arc* arcs,
                               const topo::node_id* ids, std::size_t n,
                               const packed_arc& q, topo::node_id center,
-                              Banned banned, topo::node_id& best,
-                              double& best_d) {
+                              Banned banned, const nn_floor& floor,
+                              topo::node_id& best, double& best_d) {
     const double qul = q.u_lo, quh = q.u_hi;
     const double qvl = q.v_lo, qvh = q.v_hi;
     for (std::size_t k = 0; k < n; ++k) {
@@ -112,7 +138,8 @@ inline void batch_arc_nearest(const packed_arc* arcs,
             std::max(0.0, std::max(a.v_lo - qvh, qvl - a.v_hi));
         const double d = std::max(gu, gv);
         if (d < best_d || (d == best_d && other < best)) {
-            if (banned(pair_key(center, other))) continue;
+            if (!floor.admits(d, other) || banned(pair_key(center, other)))
+                continue;
             best_d = d;
             best = other;
         }
@@ -169,9 +196,9 @@ class grid_index {
     [[nodiscard]] int cells_u() const { return nu_; }
     [[nodiscard]] int cells_v() const { return nv_; }
 
-    /// Nearest active root to `id` by arc distance, skipping `id` itself
-    /// and banned partners; identical contract (including id tie-breaks) to
-    /// nn_index::nearest_if.  The ring walk reads the contiguous cell-slab
+    /// Nearest active root to `id` by arc distance, skipping `id` itself,
+    /// banned partners and candidates at or below `floor`; identical
+    /// contract (including id tie-breaks) to nn_index::nearest_if.  The ring walk reads the contiguous cell-slab
     /// mirror and hands each cell's candidate run to the fused kernel
     /// `batch_arc_nearest` (DESIGN.md §11), which computes the gaps over
     /// the packed-arc mirror and folds the running best in the same pass;
@@ -183,32 +210,33 @@ class grid_index {
     ///    a strict lexicographic min over (distance, id) — visit-order
     ///    independent — and the post-ring best that drives the ring-bound
     ///    early exit is that same min, so termination is exact too;
-    ///  * the ban check runs only for candidates that would improve the
-    ///    running best — equivalent to checking every candidate, since a
-    ///    banned candidate never updates the best;
+    ///  * the floor and ban checks run only for candidates that would
+    ///    improve the running best — equivalent to checking every
+    ///    candidate, since a skipped candidate never updates the best;
     ///  * the kernel's branchless gap is bit-identical to `interval::gap`
     ///    (see batch_arc_nearest above).
     template <class Banned>
     [[nodiscard]] std::optional<std::pair<topo::node_id, double>> nearest_if(
-        topo::node_id id, Banned banned) const {
+        topo::node_id id, Banned banned, nn_floor floor = {}) const {
         const packed_arc q = arcs_[static_cast<std::size_t>(id)];
         const cell_range qr = range_of(tree_->node(id).arc);
+        const double margin = ring_margin(q, qr);
         topo::node_id best = topo::knull_node;
         double best_d = std::numeric_limits<double>::infinity();
         const int max_ring = max_ring_from(qr);
         for (int r = 0; r <= max_ring; ++r) {
             if (best != topo::knull_node &&
-                static_cast<double>(r - 1) * cell_ > best_d)
+                static_cast<double>(r - 1) * cell_ + margin > best_d)
                 break;  // ring lower bound beats every remaining candidate
             visit_ring_cells(qr, r, [&](std::size_t c) {
                 const slab_cell& sc = slab_[c];
                 if (sc.n <= slab_cell::kinline)
                     batch_arc_nearest(arcs_.data(), sc.ids, sc.n, q, id,
-                                      banned, best, best_d);
+                                      banned, floor, best, best_d);
                 else
                     batch_arc_nearest(arcs_.data(), cells_[c].data(),
-                                      cells_[c].size(), q, id, banned, best,
-                                      best_d);
+                                      cells_[c].size(), q, id, banned, floor,
+                                      best, best_d);
             });
         }
         if (best == topo::knull_node) return std::nullopt;
@@ -303,6 +331,16 @@ class grid_index {
     }
     [[nodiscard]] cell_range range_of(const geom::tilted_rect& r) const;
     [[nodiscard]] int max_ring_from(const cell_range& q) const;
+    /// Distance from arc `q` to the nearest edge of its covered range `c`,
+    /// less margin_eps_, floored at 0 (the ring bound's m; see the header).
+    [[nodiscard]] double ring_margin(const packed_arc& q,
+                                     const cell_range& c) const {
+        const double mu = std::min(q.u_lo - (u_lo_ + c.u0 * cell_),
+                                   (u_lo_ + (c.u1 + 1) * cell_) - q.u_hi);
+        const double mv = std::min(q.v_lo - (v_lo_ + c.v0 * cell_),
+                                   (v_lo_ + (c.v1 + 1) * cell_) - q.v_hi);
+        return std::max(0.0, std::min(mu, mv) - margin_eps_);
+    }
 
     /// Apply `fn` to the index of every cell at Chebyshev cell distance
     /// exactly `r` from range `q` (ring 0 is the range itself).
@@ -341,6 +379,7 @@ class grid_index {
     double u_lo_ = 0.0, v_lo_ = 0.0;  ///< grid origin in tilted space
     double cell_ = 1.0;               ///< cell side, tilted units
     double inv_cell_ = 1.0;
+    double margin_eps_ = 0.0;  ///< FP slack of ring_margin (set by size_to)
     int nu_ = 1, nv_ = 1;
     std::size_t sized_for_ = 1;  ///< population the cells were sized for
     int rebuilds_ = 0;           ///< occupancy-adaptive rebuild count

@@ -17,9 +17,10 @@
 /// Both backends share the same interface contract:
 ///  * `insert` / `erase` maintain the active set (erase is O(1) via an
 ///    id -> slot map over the swap-and-pop `active_` vector);
-///  * `nearest_if(id, banned)` returns the nearest active root by arc
-///    distance with deterministic id tie-breaks (`other < best` on equal
-///    distance), skipping `id` itself and banned partners;
+///  * `nearest_if(id, banned, floor)` returns the nearest active root by
+///    arc distance with deterministic id tie-breaks (`other < best` on
+///    equal distance), skipping `id` itself, banned partners and every
+///    candidate whose (distance, id) is at or below `floor`;
 ///  * `for_each_within(rect, radius, fn)` calls `fn(id, d)` for a superset
 ///    of the active roots whose arc lies within `radius` of `rect`, with
 ///    `d` the candidate's arc distance to `rect` (the linear backend
@@ -47,6 +48,20 @@ namespace astclk::core {
 /// Predicate accepting every pair — the "no bans" case, fully inlined.
 struct no_bans {
     [[nodiscard]] bool operator()(std::uint64_t) const { return false; }
+};
+
+/// Lexicographic floor of a nearest_if query: candidates whose
+/// (distance, id) is at or below (d, id) are skipped before any ban probe.
+/// The engine passes a root's previous record after banning that record's
+/// partner, because every candidate at or below it is then known to be
+/// banned (engine.cpp).  The default admits every candidate: distances are
+/// never negative.
+struct nn_floor {
+    double d = -1.0;
+    topo::node_id id = topo::knull_node;
+    [[nodiscard]] bool admits(double cd, topo::node_id cid) const {
+        return cd > d || (cd == d && cid > id);
+    }
 };
 
 /// Swap-and-pop set of active root ids with an id -> slot map (node ids
@@ -100,21 +115,24 @@ class nn_index {
         return set_.slot_of(id);
     }
 
-    /// Nearest active root to `id` by arc distance, skipping `id` itself and
-    /// any partner for which `banned(pair_key)` returns true.  Ties on equal
-    /// distance break towards the smaller id.  nullopt when no candidate
-    /// remains.
+    /// Nearest active root to `id` by arc distance, skipping `id` itself,
+    /// every candidate at or below `floor`, and any partner for which
+    /// `banned(pair_key)` returns true.  Ties on equal distance break
+    /// towards the smaller id.  nullopt when no candidate remains.  The
+    /// floor and ban checks run only for candidates that would improve the
+    /// running best, which is exact: a skipped candidate never updates it.
     template <class Banned>
     [[nodiscard]] std::optional<std::pair<topo::node_id, double>> nearest_if(
-        topo::node_id id, Banned banned) const {
+        topo::node_id id, Banned banned, nn_floor floor = {}) const {
         const geom::tilted_rect& arc = tree_->node(id).arc;
         topo::node_id best = topo::knull_node;
         double best_d = std::numeric_limits<double>::infinity();
         for (topo::node_id other : set_.items()) {
             if (other == id) continue;
-            if (banned(pair_key(id, other))) continue;
             const double d = arc.distance(tree_->node(other).arc);
             if (d < best_d || (d == best_d && other < best)) {
+                if (!floor.admits(d, other) || banned(pair_key(id, other)))
+                    continue;
                 best_d = d;
                 best = other;
             }

@@ -2,9 +2,12 @@
 //
 //  * self-tests: every audit::verify_* checker runs green on healthy
 //    state, then a violation is seeded — a corrupted edge, a stale grid
-//    registration, a broken heap order, a leaked scratch lease, books
-//    that do not sum — and the checker must name it.  A checker that cannot detect the corruption
-//    it claims to guard against is worse than none: it certifies.
+//    registration, a broken heap order or position map, a selection entry
+//    that disagrees with its record, a record that is not its root's
+//    nearest unbanned partner, a leaked scratch lease, books that do not
+//    sum — and the checker must name it.  A checker that cannot detect
+//    the corruption it claims to guard against is worse than none: it
+//    certifies.
 //  * checkpoint integration: the `checkpoint` helper counts and throws
 //    correctly in every build, and in ASTCLK_AUDIT builds a routed
 //    request demonstrably drives the engine's hook sites (the
@@ -18,8 +21,8 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace astclk::core {
@@ -117,27 +120,168 @@ TEST(AuditGrid, SeededStaleRegistrationFires) {
     ASSERT_NE(diag, "");
 }
 
-// -------------------------------------------------------- heap invariant
+// ------------------------------------------------- heaps and NN records
 
-TEST(AuditHeap, DaryHeapPassesAndCorruptionFires) {
-    std::vector<int> h;
-    for (int v : {5, 1, 9, 9, 3, 7, 2, 8, 0, 4, 6, 11, -3})
-        dary_push<std::less<int>>(h, v);
-    EXPECT_EQ((audit::verify_heap_invariant<std::less<int>>(h)), "");
-    dary_pop<std::less<int>>(h);
-    EXPECT_EQ((audit::verify_heap_invariant<std::less<int>>(h)), "");
+/// Entry shapes of the engine's two heaps (engine.cpp): a selection entry
+/// (key, dist, owner a, partner b) and a radius entry (dist, owner a).
+struct sel_entry {
+    double key;
+    double dist;
+    topo::node_id a, b;
+};
+struct sel_before {
+    bool operator()(const sel_entry& x, const sel_entry& y) const {
+        if (x.key != y.key) return x.key < y.key;
+        if (x.a != y.a) return x.a < y.a;
+        return x.b < y.b;
+    }
+};
+struct rad_entry {
+    double dist;
+    topo::node_id a;
+};
+struct rad_before {
+    bool operator()(const rad_entry& x, const rad_entry& y) const {
+        return x.dist > y.dist;
+    }
+};
+using sel_heap = addressable_heap<sel_entry, sel_before, &sel_entry::a>;
+using rad_heap = addressable_heap<rad_entry, rad_before, &rad_entry::a>;
 
-    // Seed: a tail element larger than everything breaks the d-ary order.
-    h.back() = 1000;
-    const std::string diag = audit::verify_heap_invariant<std::less<int>>(h);
+TEST(AuditHeap, HealthyHeapPassesSeededOrderAndPositionCorruptionsFire) {
+    sel_heap h;
+    for (int a : {5, 1, 9, 3, 7, 2, 8, 0, 4, 6, 11, 12, 13})
+        h.set({static_cast<double>(a % 5), 0.0, a, a + 1});
+    h.erase(9);
+    h.set({-1.0, 0.0, 6, 2});  // re-key in place
+    ASSERT_EQ(audit::verify_heap_invariant(h), "");
+
+    // Seed 1: an entry's key drops below its parent's (heap order).
+    auto items = h.items();
+    items.back().key = -100.0;
+    std::string diag = audit::verify_heap_invariant<sel_heap>(items,
+                                                              h.positions());
     ASSERT_NE(diag, "");
     EXPECT_NE(diag.find("heap invariant"), std::string::npos) << diag;
 
-    // Binary arity sanity: the template honours D.
-    std::vector<int> bin{9, 7, 8, 1, 2, 3, 4};
-    EXPECT_EQ((audit::verify_heap_invariant<std::less<int>, 2>(bin)), "");
-    bin[3] = 99;  // child of bin[1] under D=2
-    EXPECT_NE((audit::verify_heap_invariant<std::less<int>, 2>(bin)), "");
+    // Seed 2: an owner mapped to the wrong slot.
+    auto pos = h.positions();
+    std::swap(pos[static_cast<std::size_t>(h.items()[1].a)],
+              pos[static_cast<std::size_t>(h.items()[2].a)]);
+    diag = audit::verify_heap_invariant<sel_heap>(h.items(), pos);
+    ASSERT_NE(diag, "");
+    EXPECT_NE(diag.find("position map"), std::string::npos) << diag;
+
+    // Seed 3: an owner without an entry still mapped (a stale position).
+    pos = h.positions();
+    pos[9] = 0;
+    diag = audit::verify_heap_invariant<sel_heap>(h.items(), pos);
+    ASSERT_NE(diag, "");
+    EXPECT_NE(diag.find("position map"), std::string::npos) << diag;
+}
+
+/// Leaves of a small instance as active roots, with their exact nearest
+/// unbanned partners as records — the state the engine keeps.
+struct record_fixture {
+    topo::instance inst = small_instance(40);
+    topo::clock_tree t;
+    std::vector<topo::node_id> active;
+    std::unordered_set<std::uint64_t> banned;
+    std::vector<topo::node_id> nn_to;
+    std::vector<double> nn_dist;
+    sel_heap sel;
+    rad_heap rad;
+
+    record_fixture() {
+        for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+            active.push_back(t.add_leaf(inst, static_cast<std::int32_t>(i)));
+        // Ban every 7th leaf's nearest pair, so some records skip a
+        // closer, banned partner.
+        const nn_index lin(&t, active);
+        for (std::size_t k = 0; k < active.size(); k += 7)
+            banned.insert(
+                pair_key(active[k], lin.nearest_if(active[k], no_bans{})->first));
+        nn_to.assign(t.size(), topo::knull_node);
+        nn_dist.assign(t.size(), 0.0);
+        const auto probe = [this](std::uint64_t k) {
+            return banned.count(k) != 0;
+        };
+        for (const topo::node_id i : active) {
+            const auto n = lin.nearest_if(i, probe);
+            const auto si = static_cast<std::size_t>(i);
+            nn_to[si] = n->first;
+            nn_dist[si] = n->second;
+            sel.set({n->second, n->second, i, n->first});
+            rad.set({n->second, i});
+        }
+    }
+    [[nodiscard]] std::string records() const {
+        return audit::verify_selection_records(sel, rad, active, nn_to,
+                                               nn_dist);
+    }
+    [[nodiscard]] std::string nn() const {
+        return audit::verify_nn_records(t, active, nn_to, nn_dist, banned);
+    }
+};
+
+TEST(AuditRecords, HealthyRecordsPassSeededMismatchesFire) {
+    const record_fixture f;
+    ASSERT_EQ(f.records(), "");
+    ASSERT_EQ(f.nn(), "");
+
+    // Seed 1: a selection entry whose partner is not nn_to[owner].
+    const topo::node_id a = f.active[3];
+    const auto sa = static_cast<std::size_t>(a);
+    {
+        record_fixture g;
+        g.sel.set({g.nn_dist[sa], g.nn_dist[sa], a, g.active[20]});
+        const std::string diag = g.records();
+        ASSERT_NE(diag, "");
+        EXPECT_NE(diag.find("selection entry"), std::string::npos) << diag;
+    }
+    // Seed 2: a record without a radius entry.
+    {
+        record_fixture g;
+        g.rad.erase(sa);
+        EXPECT_NE(g.records(), "");
+    }
+    // Seed 3: an erased root whose entry outlived it.
+    {
+        record_fixture g;
+        g.nn_to[sa] = topo::knull_node;
+        EXPECT_NE(g.records(), "");
+    }
+}
+
+TEST(AuditRecords, RecordThatIsNotTheNearestUnbannedPartnerFires) {
+    // Seed 1: a record pointing past its root's nearest partner.
+    {
+        record_fixture f;
+        const auto s0 = static_cast<std::size_t>(f.active[0]);
+        for (const topo::node_id j : f.active)
+            if (j != f.active[0] && j != f.nn_to[s0]) {
+                f.nn_to[s0] = j;
+                break;
+            }
+        const std::string diag = f.nn();
+        ASSERT_NE(diag, "");
+        EXPECT_NE(diag.find("nearest unbanned partner"), std::string::npos)
+            << diag;
+    }
+    // Seed 2: the recorded pair is banned without a recompute — exactly
+    // the state a rejection floor must never see.
+    {
+        record_fixture f;
+        const topo::node_id i = f.active[5];
+        f.banned.insert(pair_key(i, f.nn_to[static_cast<std::size_t>(i)]));
+        EXPECT_NE(f.nn(), "");
+    }
+    // Seed 3: a starved record (knull) for a root that has a partner.
+    {
+        record_fixture f;
+        f.nn_to[static_cast<std::size_t>(f.active[9])] = topo::knull_node;
+        EXPECT_NE(f.nn(), "");
+    }
 }
 
 // -------------------------------------------------- scratch lease balance

@@ -14,6 +14,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <unordered_set>
 
 namespace astclk::core {
@@ -244,6 +247,182 @@ TEST(GridIndex, TinyPopulationsKeepMinimumCellResolution) {
         roots.push_back(t.add_leaf(inst, static_cast<int>(i)));
     const grid_index grid(&t, roots);
     EXPECT_GE(std::max(grid.cells_u(), grid.cells_v()), 16);
+}
+
+// ------------------------------------------------------ lexicographic floor
+
+using bans_t = std::unordered_set<std::uint64_t>;
+
+/// Brute-force reference for a floored query: the lexicographic minimum
+/// (distance, id) over every other active root strictly above the floor
+/// (spelled out here, not through nn_floor::admits) that the ban set does
+/// not hold.
+std::optional<std::pair<node_id, double>> brute_nearest(
+    const clock_tree& t, const std::vector<node_id>& active, node_id id,
+    const bans_t& bans, nn_floor floor) {
+    std::optional<std::pair<node_id, double>> best;
+    for (const node_id j : active) {
+        if (j == id || bans.count(pair_key(id, j)) != 0) continue;
+        const double d = t.node(id).arc.distance(t.node(j).arc);
+        if (d < floor.d || (d == floor.d && j <= floor.id)) continue;
+        if (!best || d < best->second || (d == best->second && j < best->first))
+            best = std::make_pair(j, d);
+    }
+    return best;
+}
+
+/// Random symmetric ban set over roughly `per_root` pairs per root.
+bans_t random_bans(const std::vector<node_id>& active, std::uint64_t seed,
+                   int per_root) {
+    gen::rng rng(seed);
+    bans_t bans;
+    for (const node_id a : active)
+        for (int k = 0; k < per_root; ++k) {
+            const node_id b = active[static_cast<std::size_t>(
+                rng.below(active.size()))];
+            if (a != b) bans.insert(pair_key(a, b));
+        }
+    return bans;
+}
+
+/// Grid, linear scan and brute force agree on every query of `active`
+/// under every floor a query can meet: none; each candidate's own
+/// (d, id) — the record the engine floors at after a rejection — with
+/// the id one below and one above (equal-distance ties on both sides of
+/// the floor id); and the candidate's distance one ulp below and above.
+/// Returns how many floors had equal-distance candidates on both sides of
+/// the floor id, so callers can assert their fixture exercises that case.
+int expect_floored_queries_exact(const clock_tree& t,
+                                 const std::vector<node_id>& roots,
+                                 const std::vector<node_id>& inserted,
+                                 const bans_t& bans) {
+    nn_index lin(&t, roots);
+    grid_index grid(&t, roots);
+    for (const node_id id : inserted) {  // sized without them, as mid-run
+        lin.insert(id);
+        grid.insert(id);
+    }
+    const std::vector<node_id>& active = lin.active();
+    const auto probe = [&bans](std::uint64_t k) { return bans.count(k) != 0; };
+    int two_sided_ties = 0;
+    const auto check = [&](node_id id, nn_floor floor) {
+        const auto want = brute_nearest(t, active, id, bans, floor);
+        const auto l = lin.nearest_if(id, probe, floor);
+        const auto g = grid.nearest_if(id, probe, floor);
+        ASSERT_EQ(want.has_value(), l.has_value())
+            << "id " << id << " floor (" << floor.d << ", " << floor.id << ")";
+        ASSERT_EQ(want.has_value(), g.has_value())
+            << "id " << id << " floor (" << floor.d << ", " << floor.id << ")";
+        if (!want.has_value()) return;
+        EXPECT_EQ(want->first, l->first) << "id " << id;
+        EXPECT_EQ(want->second, l->second) << "id " << id;
+        EXPECT_EQ(want->first, g->first)
+            << "id " << id << " floor (" << floor.d << ", " << floor.id << ")";
+        EXPECT_EQ(want->second, g->second) << "id " << id;
+    };
+    constexpr double kinf = std::numeric_limits<double>::infinity();
+    for (const node_id id : active) {
+        check(id, nn_floor{});
+        for (const node_id j : active) {
+            if (j == id) continue;
+            const double d = t.node(id).arc.distance(t.node(j).arc);
+            bool below = false, above = false;
+            for (const node_id k : active)
+                if (k != id && k != j &&
+                    t.node(id).arc.distance(t.node(k).arc) == d)
+                    (k < j ? below : above) = true;
+            if (below && above) ++two_sided_ties;
+            check(id, {d, j});
+            check(id, {d, j - 1});
+            check(id, {d, j + 1});
+            check(id, {std::nextafter(d, -kinf), j});
+            check(id, {std::nextafter(d, kinf), j});
+        }
+    }
+    return two_sided_ties;
+}
+
+TEST(GridIndex, FloorMatchesLinearAndBruteForceOnRandomArcs) {
+    // Leaves plus long merged arcs (the engine's mid-run shapes), random
+    // bans, and every floor a query can meet.
+    const auto inst = seeded_instance(90, 61, true, 4);
+    clock_tree t;
+    std::vector<node_id> leaves;
+    for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+        leaves.push_back(t.add_leaf(inst, static_cast<int>(i)));
+    std::vector<node_id> roots(leaves.begin(), leaves.begin() + 70);
+    std::vector<node_id> merged;
+    for (std::size_t k = 70; k + 1 < leaves.size(); k += 2) {
+        const geom::tilted_rect hull =
+            t.node(leaves[k - 60]).arc.hull(t.node(leaves[k - 30]).arc);
+        merged.push_back(t.add_internal(
+            leaves[k], leaves[k + 1],
+            {geom::interval::at(hull.u().mid()), hull.v()}, 0.0, 0.0, 0.0,
+            t.node(leaves[k]).delays));
+    }
+    for (const std::uint64_t seed : {5u, 6u}) {
+        std::vector<node_id> all = roots;
+        all.insert(all.end(), merged.begin(), merged.end());
+        expect_floored_queries_exact(t, roots, merged,
+                                     random_bans(all, seed, 2));
+    }
+}
+
+TEST(GridIndex, FloorMatchesOnLatticeTiesBoundariesAndClampedArcs) {
+    // Sinks on a tilted-space lattice of pitch 4 over [0, 64]^2: 62 roots
+    // size the grid to 8 cells of side 8 per axis, so every other lattice
+    // line is a cell boundary, equal distances are the rule and random
+    // picks coincide.  Arcs inserted afterwards cover the remaining
+    // shapes: zero-extent and boundary-aligned arcs, a coincident pair,
+    // and arcs clamped into the border cells from outside the sizing box.
+    topo::instance inst;
+    const auto add_sink = [&inst](double u, double v) {
+        topo::sink s;
+        s.loc = geom::tilted_point{u, v}.to_real();
+        s.cap = 1e-15;
+        inst.sinks.push_back(s);
+    };
+    add_sink(0.0, 0.0);
+    add_sink(64.0, 64.0);  // the two corners pin the sizing box
+    gen::rng rng(2024);
+    for (int k = 0; k < 60; ++k)
+        add_sink(4.0 * static_cast<double>(rng.below(17)),
+                 4.0 * static_cast<double>(rng.below(17)));
+    const std::size_t nroots = inst.sinks.size();
+    for (int k = 0; k < 2 * 9; ++k) add_sink(0.0, 0.0);  // internal children
+    clock_tree t;
+    std::vector<node_id> roots, spare;
+    for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+        (i < nroots ? roots : spare)
+            .push_back(t.add_leaf(inst, static_cast<int>(i)));
+    {
+        const grid_index sized(&t, roots);
+        ASSERT_EQ(sized.cells_u(), 9);  // floor(64 / 8) + 1: cell side 8
+        ASSERT_EQ(sized.cells_v(), 9);
+    }
+    using geom::interval;
+    const std::vector<geom::tilted_rect> arcs{
+        {interval::at(16.0), interval::at(24.0)},  // point on a cell corner
+        t.node(roots[5]).arc,                      // coincides with a leaf
+        {interval::at(8.0), interval(8.0, 40.0)},  // segment on a boundary
+        {interval(24.0, 40.0), interval(32.0, 48.0)},  // box on boundaries
+        {interval(44.0, 44.0), interval(12.0, 20.0)},  // coincident pair ...
+        {interval(44.0, 44.0), interval(12.0, 20.0)},  // ... of segments
+        {interval(80.0, 90.0), interval(-20.0, -10.0)},  // clamped, both axes
+        {interval(-6.0, 6.0), interval(60.0, 70.0)},     // straddles the box
+        {interval::at(200.0), interval::at(200.0)},      // far outside
+    };
+    std::vector<node_id> inserted;
+    for (std::size_t k = 0; k < arcs.size(); ++k)
+        inserted.push_back(t.add_internal(spare[2 * k], spare[2 * k + 1],
+                                          arcs[k], 0.0, 0.0, 0.0,
+                                          t.node(spare[2 * k]).delays));
+    std::vector<node_id> all = roots;
+    all.insert(all.end(), inserted.begin(), inserted.end());
+    EXPECT_GT(expect_floored_queries_exact(t, roots, inserted, {}), 0);
+    EXPECT_GT(expect_floored_queries_exact(t, roots, inserted,
+                                           random_bans(all, 77, 3)),
+              0);
 }
 
 TEST(GridIndex, OccupancyAdaptiveRebuildKeepsAnswersExact) {
