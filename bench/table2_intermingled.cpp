@@ -4,8 +4,7 @@
 // Paper shape: larger reductions than Table I (9.4-14.5 %), growing with
 // the number of groups; the AST max-skew by-product reaches ~100 ps while
 // intra-group skew stays at zero.  Our iso-delay implementation reproduces
-// the ordering and the by-product behaviour; see EXPERIMENTS.md for the
-// magnitude discussion.
+// the ordering and the by-product behaviour, not the paper's magnitudes.
 //
 // The whole table is one route_service batch: generated instances are
 // shared through the service's routing_context (the windowed pass reuses

@@ -50,6 +50,6 @@ int main(int argc, char** argv) {
     t.print(std::cout);
     std::cout << "\nexact mode guarantees zero intra-group skew; the "
                  "windowed mode is the paper's literal merge-case algorithm "
-                 "(residual violations possible — see EXPERIMENTS.md).\n";
+                 "(residual violations possible — see DESIGN.md §5).\n";
     return 0;
 }

@@ -1,7 +1,7 @@
 // Command-line router over the routing service: read an instance file,
 // build a routing_request, submit it through route_service's streaming
-// API (strategy registry + prioritised worker pool), verify, print the
-// report, optionally export SVG/JSON.
+// API (prioritised worker pool), verify, print the report, optionally
+// export SVG/JSON.
 //
 //   $ ./route_cli INSTANCE [--algo ast|zst|bst|sep] [--bound PS]
 //                 [--mode auto|windowed|exact|soft] [--threads N]
@@ -20,8 +20,11 @@
 // ledger-backed AST modes always reduce monolithically).  --deadline
 // bounds the route's wall-clock: an expired deadline stops the engine at
 // the next merge-round checkpoint and the run exits with status
-// `deadline_exceeded`.  A --bound that is not a number exits 2; a NaN or
-// negative one is rejected as `invalid skew spec` before routing.
+// `deadline_exceeded`.  --algo takes a strategy's canonical name
+// (zst_dme, ext_bst, ast_dme, separate_stitch) or its short alias.
+// Numeric flags parse strictly: a value with trailing characters, or an
+// out-of-range one, exits 2; a NaN or negative --bound is rejected as
+// `invalid skew spec` before routing.
 //
 // Resilience (DESIGN.md §10): --retries N grants the request N total
 // attempts with bounded exponential backoff on transient faults;
@@ -41,10 +44,12 @@
 #include "io/svg.hpp"
 #include "io/tree_json.hpp"
 
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -52,6 +57,27 @@
 using namespace astclk;
 
 namespace {
+
+/// The whole of `v` as a number (strtod syntax, so "inf" and "nan" too);
+/// nullopt otherwise.
+std::optional<double> parse_number(const std::string& v) {
+    char* end = nullptr;
+    const double x = std::strtod(v.c_str(), &end);
+    if (end == v.c_str() || *end != '\0') return std::nullopt;
+    return x;
+}
+
+/// The whole of `v` as a base-10 integer in [lo, hi]; nullopt otherwise.
+std::optional<long long> parse_integer(const std::string& v, long long lo,
+                                       long long hi) {
+    char* end = nullptr;
+    errno = 0;
+    const long long x = std::strtoll(v.c_str(), &end, 10);
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE || x < lo ||
+        x > hi)
+        return std::nullopt;
+    return x;
+}
 
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
@@ -88,51 +114,46 @@ int main(int argc, char** argv) {
             }
             return argv[++i];
         };
+        // A value that does not parse whole, or lies out of range, exits 2.
+        const auto reject = [&] {
+            std::cerr << a << ": bad value \"" << argv[i] << "\"\n";
+            return usage(argv[0]);
+        };
         if (a == "--algo")
             algo = need("--algo");
         else if (a == "--bound") {
-            const std::string v = need("--bound");
-            char* end = nullptr;
-            bound_ps = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0') {
-                std::cerr << "--bound wants a number of picoseconds\n";
-                return usage(argv[0]);
-            }
-        }
-        else if (a == "--mode")
+            bound_ps = parse_number(need("--bound"));
+            if (!bound_ps) return reject();
+        } else if (a == "--mode")
             mode = need("--mode");
-        else if (a == "--threads")
-            threads = std::atoi(need("--threads"));
-        else if (a == "--deadline")
-            deadline_ms = std::atof(need("--deadline"));
-        else if (a == "--shards") {
-            // Strict parse: a typo must not silently select a different
-            // routing mode ("auto"/0 = heuristic, K >= 1 = fixed count).
+        else if (a == "--threads") {
+            const auto v = parse_integer(need("--threads"), 0, INT_MAX);
+            if (!v) return reject();
+            threads = static_cast<int>(*v);
+        } else if (a == "--deadline") {
+            // Bounded so the steady-clock deadline cannot overflow.
+            const auto v = parse_number(need("--deadline"));
+            if (!v || !(std::fabs(*v) <= 1e12)) return reject();
+            deadline_ms = *v;
+        } else if (a == "--shards") {
+            // "auto"/0 = heuristic, K >= 1 = fixed count.
             const std::string v = need("--shards");
-            if (v == "auto") {
-                shards = 0;
-            } else {
-                char* end = nullptr;
-                const long parsed = std::strtol(v.c_str(), &end, 10);
-                if (end == v.c_str() || *end != '\0' || parsed < 0) {
-                    std::cerr << "--shards wants a count >= 1, 0 or "
-                                 "\"auto\"\n";
-                    return usage(argv[0]);
-                }
-                shards = static_cast<int>(parsed);
-            }
-        }
-        else if (a == "--retries") {
-            retries = std::atoi(need("--retries"));
-            if (retries < 1) {
-                std::cerr << "--retries wants a total attempt count >= 1\n";
-                return usage(argv[0]);
-            }
+            const auto k = v == "auto" ? std::optional<long long>(0)
+                                       : parse_integer(v, 0, INT_MAX);
+            if (!k) return reject();
+            shards = static_cast<int>(*k);
+        } else if (a == "--retries") {
+            const auto v = parse_integer(need("--retries"), 1, INT_MAX);
+            if (!v) return reject();
+            retries = static_cast<int>(*v);
         } else if (a == "--degrade")
             degrade = true;
-        else if (a == "--fault-seed")
-            fault_seed = std::atoll(need("--fault-seed"));
-        else if (a == "--svg")
+        else if (a == "--fault-seed") {
+            const auto v =
+                parse_integer(need("--fault-seed"), LLONG_MIN, LLONG_MAX);
+            if (!v) return reject();
+            fault_seed = *v;
+        } else if (a == "--svg")
             svg_out = need("--svg");
         else if (a == "--json")
             json_out = need("--json");
@@ -151,7 +172,7 @@ int main(int argc, char** argv) {
     core::routing_request req;
     req.instance = &inst;
     req.options.engine.shards = shards;
-    const auto id = core::strategy_registry::global().id_of(algo);
+    const auto id = core::parse_strategy(algo);
     if (!id.has_value()) return usage(argv[0]);
     req.strategy = *id;
     core::skew_spec constraint = core::skew_spec::zero();
@@ -182,8 +203,8 @@ int main(int argc, char** argv) {
     sopt.threads = threads;
     core::route_service service(sopt);
     core::submit_options sub;
-    sub.retry.max_attempts = retries;
-    sub.degrade.enabled = degrade;
+    sub.max_attempts = retries;
+    sub.degrade = degrade;
     if (deadline_ms > 0.0)
         sub.deadline = std::chrono::steady_clock::now() +
                        std::chrono::duration_cast<
@@ -233,7 +254,7 @@ int main(int argc, char** argv) {
     eval::verify_options vopt;
     if (degraded)
         vopt.skew_tolerance = route.stats.worst_violation + 1e-15;
-    else if (algo == "sep" || algo == "zst" || algo == "bst" ||
+    else if (req.strategy != core::strategy_id::ast_dme ||
              mode != "windowed")
         vopt.skew_tolerance = 1e-15;
     else

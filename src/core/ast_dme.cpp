@@ -53,9 +53,9 @@ route_result strategy_ast_dme(const routing_request& req,
     }
 
     // Automatic: exact ledger for all-zero specs (guaranteed constraints,
-    // stable wirelength — see EXPERIMENTS.md for the windowed/soft
-    // instability study), soft ledger for bounded specs (the exact ledger
-    // needs degenerate delay intervals).
+    // stable wirelength — bench/ablation_modes compares the modes), soft
+    // ledger for bounded specs (the exact ledger needs degenerate delay
+    // intervals).
     if (all_zero(spec))
         return run_once(inst, spec, opt, consistency_mode::exact, ctx);
     return run_once(inst, spec, opt, consistency_mode::soft, ctx);

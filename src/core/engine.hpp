@@ -89,12 +89,15 @@ struct engine_options {
     /// disabling reverts to pure arc-distance ordering (ablation knob).
     bool true_cost_ordering = true;
     nn_backend backend = nn_backend::grid;
-    /// Optional worker pool for multi-merge rounds (non-owning; null runs
-    /// sequentially).  Each round's nearest-neighbour queries fan out, and
-    /// so do the plan() calls when the solver carries no offset ledger
-    /// (ledger modes serialise planning because plans read offsets that
-    /// earlier commits of the same round bind).  The commit step is always
-    /// sequential, so trees are bit-identical to single-threaded runs.
+    /// Optional worker pool (non-owning; null runs sequentially).  It
+    /// drives three things: multi-merge rounds, whose nearest-neighbour
+    /// queries fan out, and so do the plan() calls when the solver carries
+    /// no offset ledger (ledger modes serialise planning because plans
+    /// read offsets that earlier commits of the same round bind); the
+    /// sharded reduction's sub-reduce fan-out (`shards`); and the automatic
+    /// shard count (`shards == 0`), which grows with its concurrency.
+    /// Commits are always sequential, so for a fixed shard count trees are
+    /// bit-identical to single-threaded runs.
     task_executor* executor = nullptr;
     /// Ignored: nothing reads it.  Kept only because
     /// benchmark/astbench.cpp still assigns it.

@@ -235,24 +235,14 @@ class cancel_token {
     /// must outlive every poll, and chains must be acyclic.
     void set_chain(const cancel_token* t) noexcept { chain_ = t; }
 
-    /// One checkpoint: cancelled beats deadline_exceeded when both fired.
-    /// The deadline clock is only read when a deadline is set.  Does not
-    /// consult the fault plan — use poll_at from sites with a
-    /// deterministic index.
-    [[nodiscard]] route_status poll() const {
-        if (probe_ != nullptr) {
-            ++probe_->polls;
-            if (probe_->on_poll) probe_->on_poll(probe_->polls);
-        }
-        return state();
-    }
-
-    /// One *named* checkpoint: drives the probe and the flag/deadline
-    /// checks exactly like poll(), then fires any fault scheduled for
-    /// (site, index).  Cancellation and an already-fired deadline beat an
-    /// injected fault (the event stays unconsumed); a worker_stall sleeps
-    /// through the remaining deadline budget and reports the resulting
-    /// state.  Defined in fault.cpp (the stall needs <thread>).
+    /// One *named* checkpoint: drives the probe, checks the flag and the
+    /// deadline down the chain (cancelled beats deadline_exceeded when
+    /// both fired; the clock is only read when a deadline is set), then
+    /// fires any fault scheduled for (site, index).  Cancellation and an
+    /// already-fired deadline beat an injected fault (the event stays
+    /// unconsumed); a worker_stall sleeps through the remaining deadline
+    /// budget and reports the resulting state.  Defined in fault.cpp (the
+    /// stall needs <thread>).
     [[nodiscard]] route_status poll_at(fault_site site,
                                        std::uint64_t index) const;
 

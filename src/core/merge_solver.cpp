@@ -120,9 +120,19 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
             alpha = rc::length_for_delay(model, target, ws.ca).value_or(span);
             alpha = std::max(alpha, span);
             beta = 0.0;
+        } else if (window.lo < 0.0) {
+            // A window inverted by less than kdelay_eps whose split bounds
+            // still crossed: it lies inside [D(span), D(0)], so no snake is
+            // needed — split at its midpoint.
+            alpha = std::clamp(
+                rc::split_for_target(model, span, ws.ca, ws.cb,
+                                     0.5 * (window.lo + window.hi))
+                    .value_or(0.0),
+                0.0, span);
+            beta = span - alpha;
         } else {
+            // Even alpha = 0 leaves D too low: lengthen the B edge.
             const double target = window.lo;
-            assert(target >= 0.0);
             beta = rc::length_for_delay(model, target, ws.cb).value_or(span);
             beta = std::max(beta, span);
             alpha = 0.0;

@@ -4,8 +4,6 @@
 /// Shared per-run state for the routing service (DESIGN.md §6): the
 /// expensive pieces every route needs but no route should rebuild —
 ///
-///  * the configured delay model (the context's default; requests can
-///    still override via router_options.model),
 ///  * generated instances (src/gen synthesis is deterministic but not
 ///    free; batches routing the same benchmark under many specs share one
 ///    copy via the keyed cache),
@@ -20,7 +18,6 @@
 
 #include "core/engine.hpp"
 #include "gen/instance_gen.hpp"
-#include "rc/delay_model.hpp"
 #include "topo/instance.hpp"
 
 #include <functional>
@@ -35,13 +32,9 @@ namespace astclk::core {
 class routing_context {
   public:
     routing_context() = default;
-    explicit routing_context(rc::delay_model model) : model_(model) {}
 
     routing_context(const routing_context&) = delete;
     routing_context& operator=(const routing_context&) = delete;
-
-    /// The context's default delay model (requests may override).
-    [[nodiscard]] const rc::delay_model& model() const { return model_; }
 
     // ------------------------------------------------- instance cache
     /// The instance cached under `key`, building it with `build` on the
@@ -110,7 +103,6 @@ class routing_context {
     void release(std::unique_ptr<engine_scratch> s);
 
     mutable std::mutex mu_;
-    rc::delay_model model_ = rc::delay_model::elmore();
     std::unordered_map<std::string, std::unique_ptr<topo::instance>>
         instances_;
     std::vector<std::unique_ptr<engine_scratch>> pool_;

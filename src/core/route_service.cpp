@@ -275,9 +275,8 @@ route_result route_handle::wait() {
 
 // --------------------------------------------------------- route_service
 
-route_service::route_service(service_options opt)
-    : opt_(opt), ctx_(opt.model) {
-    int threads = opt_.threads;
+route_service::route_service(service_options opt) {
+    int threads = opt.threads;
     if (threads <= 0)
         threads = static_cast<int>(
             std::max(1u, std::thread::hardware_concurrency()));
@@ -288,22 +287,7 @@ route_service::route_service(service_options opt)
 // submitted request, which may still use the context), then the context.
 route_service::~route_service() = default;
 
-task_executor& route_service::executor() { return *pool_; }
-
 int route_service::threads() const { return pool_->concurrency(); }
-
-route_result route_service::route_one(routing_request req) {
-    if (opt_.parallel_rounds && req.options.engine.executor == nullptr)
-        req.options.engine.executor = pool_.get();
-    // threads_used is derived by the dispatch from the executor the run
-    // actually carried — a caller-supplied executor or a disabled
-    // parallel_rounds must not be misreported as the pool's width.
-    return core::route(req, ctx_);
-}
-
-route_result route_service::route(routing_request req) {
-    return route_one(std::move(req));
-}
 
 namespace {
 
@@ -337,12 +321,12 @@ void route_service::serve(const std::shared_ptr<route_handle::state>& st,
                           int attempt) {
     if (attempt == 1 && st->claimed.exchange(true, std::memory_order_acq_rel))
         return;  // cancelled while queued; cancel() completed it
-    const retry_policy& rp = st->opt.retry;
-    const degrade_policy& dp = st->opt.degrade;
+    const bool degrade = st->opt.degrade;
 
-    // Deadline watermark: a (re)attempt starting deep into its budget is
-    // not going to finish a full-fidelity run — start it stepped down.
-    if (dp.enabled && st->opt.deadline != cancel_token::no_deadline()) {
+    // Deadline watermark: a (re)attempt claimed past half of its budget is
+    // not going to finish a full-fidelity run — start it stepped down, and
+    // past three quarters go straight to the greedy fallback.
+    if (degrade && st->opt.deadline != cancel_token::no_deadline()) {
         const auto now = std::chrono::steady_clock::now();
         const double total = std::chrono::duration<double>(
                                  st->opt.deadline - st->submitted)
@@ -351,10 +335,9 @@ void route_service::serve(const std::shared_ptr<route_handle::state>& st,
             std::chrono::duration<double>(now - st->submitted).count();
         if (total > 0.0) {
             const double f = elapsed / total;
-            const double w = dp.deadline_watermark;
-            if (f >= w + (1.0 - w) / 2.0)
+            if (f >= 0.75)
                 st->rung = std::max(st->rung, 2);
-            else if (f >= w)
+            else if (f >= 0.5)
                 st->rung = std::max(st->rung, 1);
         }
     }
@@ -362,7 +345,12 @@ void route_service::serve(const std::shared_ptr<route_handle::state>& st,
 
     routing_request req = st->req;  // copied: a retry reuses the original
     apply_rung(req, rung, pool_->concurrency());
-    req.options.engine.salvage = dp.enabled && dp.salvage;
+    req.options.engine.salvage = degrade;
+    // Requests without an executor of their own fan their engine rounds
+    // and shards out over the pool; threads_used is derived by the
+    // dispatch from the executor the run actually carried.
+    if (req.options.engine.executor == nullptr)
+        req.options.engine.executor = pool_.get();
     // The handle-wired token carries the submission's flag and deadline;
     // the request's own token keeps working through the chain (its flag
     // and deadline are polled too), and its probe and fault plan are
@@ -376,7 +364,7 @@ void route_service::serve(const std::shared_ptr<route_handle::state>& st,
     req.options.engine.cancel = tok;
     route_result res;
     try {
-        res = route_one(std::move(req));
+        res = core::route(req, ctx_);
     } catch (const std::bad_alloc&) {
         res = route_result{};
         res.status = route_status::transient_fault;
@@ -400,15 +388,11 @@ void route_service::serve(const std::shared_ptr<route_handle::state>& st,
         st->cancel_flag.load(std::memory_order_relaxed) ||
         res.status == route_status::cancelled;
     const auto now = std::chrono::steady_clock::now();
-    const bool retryable =
-        rp.retryable ? rp.retryable(res.status)
-                     : res.status == route_status::transient_fault;
     bool again = false;
-    if (!cancelled && retryable && attempt < rp.max_attempts) {
-        auto backoff = rp.backoff_base;
-        for (int i = 1; i < attempt && backoff < rp.backoff_cap; ++i)
-            backoff *= 2;
-        backoff = std::min(backoff, rp.backoff_cap);
+    if (!cancelled && res.status == route_status::transient_fault &&
+        attempt < st->opt.max_attempts) {
+        const auto backoff = std::chrono::milliseconds(
+            1 << std::min(attempt - 1, 6));  // 1, 2, 4, ... 64 ms
         if (now + backoff < st->opt.deadline) {
             // Sleeping here occupies this worker for the backoff — cheap
             // (milliseconds) and simple; the re-enqueue then restores
@@ -417,7 +401,7 @@ void route_service::serve(const std::shared_ptr<route_handle::state>& st,
             again = true;
         }
     }
-    if (!again && !cancelled && dp.enabled && st->rung < 2 &&
+    if (!again && !cancelled && degrade && st->rung < 2 &&
         (res.status == route_status::transient_fault ||
          res.status == route_status::data_fault) &&
         now < st->opt.deadline) {
@@ -432,8 +416,13 @@ void route_service::serve(const std::shared_ptr<route_handle::state>& st,
 
     // Tag ladder results (the salvage path arrives already tagged) and
     // re-verify every degraded tree with the independent evaluator — a
-    // stepped-down configuration must still produce a sound tree.
-    if (rung > 0 && res.status == route_status::ok &&
+    // stepped-down configuration must still produce a sound tree.  Rung 1
+    // only changes the shard count, so a request that still reduced
+    // monolithically (ledger-backed AST, separate-stitch) reran its
+    // full-fidelity configuration: that result is `ok`.
+    const bool stepped_down =
+        rung >= 2 || (rung == 1 && res.resolved_shards > 1);
+    if (stepped_down && res.status == route_status::ok &&
         res.degradation.rung == degrade_rung::none) {
         res.status = route_status::degraded;
         res.degradation.rung = static_cast<degrade_rung>(rung);
@@ -442,7 +431,7 @@ void route_service::serve(const std::shared_ptr<route_handle::state>& st,
             " (" + to_string(res.degradation.rung) + ")";
         res.status_message = res.degradation.reason;
     }
-    if (res.status == route_status::degraded && dp.verify) {
+    if (res.status == route_status::degraded) {
         eval::verify_options vopt;
         // Forced merges (tracked by the engine) may leave a residual
         // violation the run already reported; verify against it, not

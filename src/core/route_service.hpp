@@ -1,53 +1,55 @@
 #pragma once
 
 /// \file route_service.hpp
-/// Streaming, multi-threaded front-end over the strategy registry
+/// Streaming, multi-threaded front-end over the strategy dispatch
 /// (DESIGN.md §7-§8) — the serving spine for many concurrent route
 /// requests.
 ///
 /// A route_service owns
-///  * a routing_context (shared delay model, instance cache, scratch pool),
+///  * a routing_context (instance cache, scratch pool),
 ///  * a thread_pool implementing task_executor plus a prioritised task
 ///    queue of submitted requests.
 ///
-/// The primary API is asynchronous: `submit(request, submit_options)`
-/// enqueues one request and returns a `route_handle` immediately; results
-/// stream back as they complete (poll `try_get`, block in `wait`, or
-/// receive a completion callback).  `submit_options` carries a per-request
-/// deadline and a priority — higher-priority submissions are claimed first
-/// by idle workers — and `route_handle::cancel()` requests cooperative
+/// The API is asynchronous: `submit(request, submit_options)` enqueues
+/// one request and returns a `route_handle` immediately; results stream
+/// back as they complete (poll `try_get`, block in `wait`, or receive a
+/// completion callback).  `submit_options` carries a per-request deadline
+/// and a priority — higher-priority submissions are claimed first by idle
+/// workers — and `route_handle::cancel()` requests cooperative
 /// cancellation: queued requests complete as `cancelled` immediately,
 /// running ones stop at the engine's next merge-round checkpoint, so a
 /// runaway difficult instance can no longer hold a batch hostage.
 /// `route_batch` remains as a thin submit-all + wait-all wrapper.
 ///
-/// Each request additionally carries the pool down into the merge engine,
-/// whose multi-merge rounds fan their nearest-neighbour queries and plan()
-/// calls out over the same threads (engine.hpp), and — for requests with
-/// `engine.shards != 1` — into the sharded reduction (shard.hpp), whose
-/// sub-reductions run as one shard sub-batch on the same pool under the
-/// submitting request's deadline and priority: the handle's cancel token
-/// is polled at every shard's checkpoints, so one deadline bounds the
-/// whole fan-out.  Every fan-out obeys the write-your-own-slot rule, so
-/// served, threaded runs return results bit-identical to direct
-/// single-threaded router calls — thread counts change wall-clock, never
-/// trees.  One caveat: `engine.shards == 0` (auto) chooses the shard
-/// *count* from the executor concurrency, so the partition itself — and
-/// with it the tree — can differ between pools of different widths; the
-/// resolved count is recorded in `route_result::resolved_shards` (and the
-/// serving attempt in `route_result::attempts`), so any served run can be
-/// reproduced exactly by pinning `engine.shards` to the recorded value
-/// (any fixed count is bit-identical across thread counts).
+/// A request that carries no executor of its own gets the pool as its
+/// `engine.executor`: its multi-merge rounds fan their nearest-neighbour
+/// queries and plan() calls out over the same threads (engine.hpp), and —
+/// for requests with `engine.shards != 1` — its sharded reduction
+/// (shard.hpp) runs the sub-reductions as one shard sub-batch on the same
+/// pool under the submitting request's deadline and priority: the
+/// handle's cancel token is polled at every shard's checkpoints, so one
+/// deadline bounds the whole fan-out.  Every fan-out obeys the
+/// write-your-own-slot rule, so served, threaded runs return results
+/// bit-identical to direct single-threaded router calls — thread counts
+/// change wall-clock, never trees.  One caveat: `engine.shards == 0`
+/// (auto) chooses the shard *count* from the executor concurrency, so the
+/// partition itself — and with it the tree — can differ between pools of
+/// different widths; the resolved count is recorded in
+/// `route_result::resolved_shards` (and the serving attempt in
+/// `route_result::attempts`), so any served run can be reproduced exactly
+/// by pinning `engine.shards` to the recorded value (any fixed count is
+/// bit-identical across thread counts).
 ///
-/// Resilience (DESIGN.md §10): `submit_options::retry` re-enqueues
-/// requests that end in a retryable status (default: `transient_fault`)
-/// with bounded exponential backoff at their original priority, and
+/// Resilience (DESIGN.md §10): `submit_options::max_attempts` re-enqueues
+/// a request that ends in `transient_fault` at its original priority,
+/// after a backoff of 1 ms doubling per attempt up to 64 ms, and
 /// `submit_options::degrade` arms the graceful-degradation ladder — when
-/// the deadline watermark passes or retries are exhausted, the request is
-/// rerun stepped down (coarser shards → greedy-BST fallback), and a deadline firing mid-sharded-reduce salvages the
-/// completed shard sub-trees (shard.hpp).  Degraded results carry a valid
-/// tree tagged `route_status::degraded`, re-verified by the independent
-/// evaluator before publication, with the rung and reason in
+/// half the deadline budget has passed or the attempts are exhausted, the
+/// request is rerun stepped down (coarser shards → greedy-BST fallback),
+/// and a deadline firing mid-sharded-reduce salvages the completed shard
+/// sub-trees (shard.hpp).  Degraded results carry a valid tree tagged
+/// `route_status::degraded`, re-verified by the independent evaluator
+/// before publication, with the rung and reason in
 /// `route_result::degradation`.
 ///
 /// Failure isolation: a worker catches its request's exceptions and
@@ -122,46 +124,9 @@ class thread_pool final : public task_executor {
 struct service_options {
     /// Worker-thread budget; 0 picks std::thread::hardware_concurrency().
     int threads = 0;
-    /// Default delay model of the owned routing_context.
+    /// Ignored: every strategy reads the request's `options.model`.  Kept
+    /// only because benchmark/astbench.cpp still assigns it.
     rc::delay_model model = rc::delay_model::elmore();
-    /// Hand the pool to the engine so multi-merge rounds fan out; requests
-    /// that already carry an executor keep theirs.
-    bool parallel_rounds = true;
-};
-
-/// Retry discipline for one submission: how many attempts a request gets
-/// and how long to back off between them.  An attempt whose status the
-/// predicate accepts is re-enqueued at the original priority after
-/// min(cap, base << (attempt - 1)); retries never start after the
-/// submission deadline, and the attempt that produced the final result is
-/// reported in `route_result::attempts`.
-struct retry_policy {
-    /// Total attempts including the first; 1 disables retries.
-    int max_attempts = 1;
-    /// First backoff; attempt k waits min(cap, base << (k - 1)).
-    std::chrono::milliseconds backoff_base{1};
-    std::chrono::milliseconds backoff_cap{64};
-    /// Which terminal statuses are worth another attempt.  Null means the
-    /// default: `transient_fault` only (cancelled/deadline never retry).
-    std::function<bool(route_status)> retryable;
-};
-
-/// Graceful-degradation ladder for one submission (DESIGN.md §10).  When
-/// enabled, a request that exhausts its retries on a fault — or whose
-/// deadline watermark passes while attempts remain — is rerun stepped
-/// down one rung at a time: 1 = coarser auto-shards (coarse_shard_count),
-/// 2 = greedy-BST fallback under the spec's tightest bound.
-/// Independently, `salvage` arms partial-result recovery of sharded
-/// reduces (engine_options::salvage).  Every degraded tree is re-verified
-/// by the independent evaluator before publication unless `verify` is off.
-struct degrade_policy {
-    bool enabled = false;
-    /// Fraction of the submit→deadline budget after which a (re)attempt
-    /// starts stepped down (rung >= 1; past the midpoint of the remainder
-    /// it jumps straight to the greedy fallback).
-    double deadline_watermark = 0.5;
-    bool salvage = true;
-    bool verify = true;
 };
 
 /// Per-submission knobs of the streaming API.
@@ -181,11 +146,23 @@ struct submit_options {
     /// receives the result by reference and must not call try_get/wait
     /// itself.  Exceptions it throws are swallowed.
     std::function<void(const route_result&)> on_complete;
-    /// Retry discipline (default: single attempt, no retries).
-    retry_policy retry;
-    /// Graceful-degradation ladder (default: disabled — faults and
-    /// deadlines report their status with no fallback rerun).
-    degrade_policy degrade;
+    /// Total attempts including the first; 1 disables retries.  Only a
+    /// `transient_fault` is retried: attempt k + 1 is re-enqueued at the
+    /// original priority after min(64 ms, 1 ms << (k - 1)), never past the
+    /// deadline, and `route_result::attempts` reports the attempt that
+    /// produced the result.
+    int max_attempts = 1;
+    /// Graceful-degradation ladder (DESIGN.md §10).  When on, a request
+    /// that exhausts its attempts on a fault — or whose (re)attempt is
+    /// claimed past half of its submit→deadline budget — is rerun stepped
+    /// down one rung at a time: 1 = coarser auto-shards
+    /// (coarse_shard_count), 2 = greedy-BST fallback under the spec's
+    /// tightest bound (a claim past three quarters of the budget starts
+    /// there).  It also arms partial-result salvage of sharded reduces
+    /// (engine_options::salvage), and every degraded tree is re-verified
+    /// by the independent evaluator before publication.  Off: faults and
+    /// deadlines report their status with no fallback rerun.
+    bool degrade = false;
 };
 
 /// Handle to one submitted request.  Copyable (all copies address the same
@@ -233,7 +210,6 @@ class route_service {
     route_service& operator=(const route_service&) = delete;
 
     [[nodiscard]] routing_context& context() { return ctx_; }
-    [[nodiscard]] task_executor& executor();
     /// Threads that may execute route work simultaneously (the workers).
     [[nodiscard]] int threads() const;
 
@@ -246,15 +222,6 @@ class route_service {
     /// deadline fires first stops the run.
     route_handle submit(routing_request req, submit_options opt = {});
 
-    /// Route one request synchronously on the calling thread (timing
-    /// recorded by the strategy dispatch; threads_used reflects the pool).
-    /// Propagates exceptions — status conversion is a submission-level
-    /// concern.  Note the engine fan-out of this path runs on the calling
-    /// thread plus the workers, so it may briefly engage threads()+1
-    /// threads; submitted requests run on a worker and stay within
-    /// threads().
-    route_result route(routing_request req);
-
     /// Thin batch wrapper: submit-all + wait-all.  results[i] always
     /// corresponds to requests[i]; a failed request reports through its
     /// result's status/status_message while the rest complete normally.
@@ -262,10 +229,8 @@ class route_service {
         const std::vector<routing_request>& requests);
 
   private:
-    route_result route_one(routing_request req);
     void serve(const std::shared_ptr<route_handle::state>& st, int attempt);
 
-    service_options opt_;
     routing_context ctx_;
     std::unique_ptr<thread_pool> pool_;
 };

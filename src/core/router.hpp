@@ -17,7 +17,7 @@
 ///                            afterwards (the strawman of Fig. 2).
 ///
 /// All four are thin wrappers over the routing-service layer (strategy.hpp:
-/// `routing_request` → `route()` dispatch through the strategy registry);
+/// `routing_request` → `route()`, which switches on the strategy id);
 /// batch execution and state sharing live in route_service.hpp /
 /// route_context.hpp (DESIGN.md §6-§7).
 
@@ -127,6 +127,8 @@ enum class ast_mode {
 };
 
 struct router_options {
+    /// The delay model of the route: every strategy plans with it, and the
+    /// service re-verifies degraded trees under it.
     rc::delay_model model = rc::delay_model::elmore();
     /// Engine knobs, forwarded to every reduce run of the route: merge
     /// order, true-cost re-keying, sharding (`engine.shards`, DESIGN.md
@@ -149,7 +151,7 @@ route_result route_ext_bst(const topo::instance& inst, double global_bound,
 
 /// AST-DME with per-group bounds (default: zero intra-group skew).
 /// `mode` selects the conflict strategy; `exact_ledger` requires an
-/// all-zero spec and falls back to `windowed` otherwise.
+/// all-zero spec and falls back to `soft_ledger` otherwise.
 route_result route_ast_dme(const topo::instance& inst,
                            const skew_spec& spec = skew_spec::zero(),
                            const router_options& opt = {},

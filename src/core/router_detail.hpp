@@ -4,7 +4,7 @@
 /// Internal plumbing shared by the routing strategies: leaf construction
 /// (optionally collapsing all groups into one), the engine run with a
 /// context-pooled scratch, embedding and bookkeeping.  Also declares the
-/// four built-in strategy implementations the registry binds (each lives
+/// four strategy implementations `route()` switches between (each lives
 /// in its router's .cpp).  Not part of the public API.
 ///
 /// Note there is no timing here: `route()` (strategy.hpp) wraps every
@@ -106,7 +106,7 @@ inline route_result reduce_route(const topo::instance& inst,
     return res;
 }
 
-// The four built-in strategies (registered by strategy_registry's ctor).
+// The four strategies, dispatched by route() (strategy.cpp).
 route_result strategy_zst_dme(const routing_request&, routing_context&);
 route_result strategy_ext_bst(const routing_request&, routing_context&);
 route_result strategy_ast_dme(const routing_request&, routing_context&);

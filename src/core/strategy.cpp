@@ -9,73 +9,51 @@
 
 namespace astclk::core {
 
-strategy_registry& strategy_registry::global() {
-    static strategy_registry reg;
-    return reg;
-}
+namespace {
 
-strategy_registry::strategy_registry() {
-    // Built-ins are bound here (not via per-TU static initialisers) so a
-    // static-library link can never silently drop a router's registration.
-    entries_.push_back(
-        {strategy_id::zst_dme, "zst_dme", "zst", &detail::strategy_zst_dme});
-    entries_.push_back(
-        {strategy_id::ext_bst, "ext_bst", "bst", &detail::strategy_ext_bst});
-    entries_.push_back(
-        {strategy_id::ast_dme, "ast_dme", "ast", &detail::strategy_ast_dme});
-    entries_.push_back({strategy_id::separate_stitch, "separate_stitch",
-                        "sep", &detail::strategy_separate_stitch});
-}
+struct strategy_name {
+    strategy_id id;
+    const char* name;
+    const char* alias;
+};
 
-void strategy_registry::add(strategy_id id, std::string name,
-                            std::string alias, strategy_fn fn) {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (entry& e : entries_) {
-        if (e.id == id) {
-            e.name = std::move(name);
-            e.alias = std::move(alias);
-            e.fn = fn;
-            return;
-        }
+constexpr strategy_name kstrategies[] = {
+    {strategy_id::zst_dme, "zst_dme", "zst"},
+    {strategy_id::ext_bst, "ext_bst", "bst"},
+    {strategy_id::ast_dme, "ast_dme", "ast"},
+    {strategy_id::separate_stitch, "separate_stitch", "sep"},
+};
+
+route_result dispatch(const routing_request& req, routing_context& ctx) {
+    switch (req.strategy) {
+        case strategy_id::zst_dme: return detail::strategy_zst_dme(req, ctx);
+        case strategy_id::ext_bst: return detail::strategy_ext_bst(req, ctx);
+        case strategy_id::ast_dme: return detail::strategy_ast_dme(req, ctx);
+        case strategy_id::separate_stitch:
+            return detail::strategy_separate_stitch(req, ctx);
     }
-    entries_.push_back({id, std::move(name), std::move(alias), fn});
+    throw std::out_of_range("route: unknown strategy id " +
+                            std::to_string(static_cast<int>(req.strategy)));
 }
 
-strategy_fn strategy_registry::find(strategy_id id) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const entry& e : entries_)
-        if (e.id == id) return e.fn;
-    throw std::out_of_range("strategy_registry: unregistered strategy id " +
-                            std::to_string(static_cast<int>(id)));
-}
+}  // namespace
 
-std::optional<strategy_id> strategy_registry::id_of(
-    const std::string& name_or_alias) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const entry& e : entries_)
-        if (e.name == name_or_alias || e.alias == name_or_alias) return e.id;
-    return std::nullopt;
-}
-
-std::string strategy_registry::name_of(strategy_id id) const {
-    std::lock_guard<std::mutex> lk(mu_);
-    for (const entry& e : entries_)
-        if (e.id == id) return e.name;
+const char* to_string(strategy_id id) noexcept {
+    for (const strategy_name& s : kstrategies)
+        if (s.id == id) return s.name;
     return "?";
 }
 
-std::vector<std::string> strategy_registry::names() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    std::vector<std::string> out;
-    out.reserve(entries_.size());
-    for (const entry& e : entries_) out.push_back(e.name);
-    return out;
+std::optional<strategy_id> parse_strategy(
+    std::string_view name_or_alias) noexcept {
+    for (const strategy_name& s : kstrategies)
+        if (name_or_alias == s.name || name_or_alias == s.alias) return s.id;
+    return std::nullopt;
 }
 
 route_result route(const routing_request& req, routing_context& ctx) {
     if (req.instance == nullptr)
         throw std::invalid_argument("routing_request: instance is null");
-    const strategy_fn fn = strategy_registry::global().find(req.strategy);
     const auto t0 = std::chrono::steady_clock::now();
     route_result res;
     const cancel_token& tok = req.options.engine.cancel;
@@ -105,7 +83,7 @@ route_result route(const routing_request& req, routing_context& ctx) {
             problem.empty() ? status_message_for(pre) : problem;
     } else {
         try {
-            res = fn(req, ctx);
+            res = dispatch(req, ctx);
         } catch (const route_interrupt& stop) {
             // A mid-reduce checkpoint fired: the partial tree died with the
             // unwind (scratch lease and instance borrow released on the
@@ -126,7 +104,7 @@ route_result route(const routing_request& req, routing_context& ctx) {
 }
 
 route_result route(const routing_request& req) {
-    routing_context ctx(req.options.model);
+    routing_context ctx;
     return route(req, ctx);
 }
 

@@ -9,8 +9,8 @@
 /// 100 000 x 100 000-unit die (10 mm at 0.1 um/unit), sink loads of
 /// 5-50 fF and a mixture of uniform background sinks and local clusters —
 /// the spatial character that makes greedy merging non-trivial.  All
-/// randomness is seeded, so every table in EXPERIMENTS.md is reproducible
-/// bit-for-bit.
+/// randomness is seeded, so every table the bench/ binaries print is
+/// reproducible bit-for-bit.
 
 #include "gen/rng.hpp"
 #include "topo/instance.hpp"

@@ -8,6 +8,10 @@
 //                            engine's last resort.
 
 #include "core/merge_solver.hpp"
+#include "core/strategy.hpp"
+#include "eval/report.hpp"
+#include "gen/grouping.hpp"
+#include "gen/instance_gen.hpp"
 #include "rc/solve.hpp"
 
 #include <gtest/gtest.h>
@@ -273,6 +277,56 @@ TEST(MergeSolver, PathLengthModelMatchesFigureArithmetic) {
     ASSERT_TRUE(plan.has_value());
     EXPECT_NEAR(plan->alpha, 5.0, 1e-9);
     EXPECT_NEAR(plan->beta, 5.0, 1e-9);
+}
+
+TEST(MergeSolver, InvertedWindowInsideSpanSplitsWithoutSnaking) {
+    // A shared group whose delay intervals are a hair wide gives a zero-
+    // skew window inverted by 5e-22 s: inside kdelay_eps, so not empty, but
+    // its split bounds cross by ~7.6e-6 units, past klen_eps.  The window
+    // sits at D = -1 fs, inside (D(span), 0), so the split must land on it
+    // rather than snake the B edge to the wrong side.
+    const auto inst = make_instance(
+        {{{0, 0}, 10e-15, 0}, {{100, 0}, 10e-15, 0}}, 1);
+    clock_tree t;
+    const node_id a = t.add_leaf(inst, 0);
+    const node_id b = t.add_leaf(inst, 1);
+    t.node(a).delays.set(0, {0.0, 5e-22});
+    t.node(b).delays.set(0, {1e-15, 1e-15});
+    const double span = 100.0;
+    ASSERT_LT(rc::delay_diff(kmodel, span, 10e-15, 10e-15, span), -1e-15);
+    merge_solver solver(kmodel, skew_spec::zero());
+    const auto plan = solver.plan(t, a, b);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_TRUE(plan->snakes.empty());
+    EXPECT_NEAR(plan->alpha + plan->beta, span, 1e-9);
+    const double d = kmodel.edge_delay(plan->beta, 10e-15) -
+                     kmodel.edge_delay(plan->alpha, 10e-15);
+    EXPECT_GE(d, -1e-15 - 1e-21);
+    EXPECT_LE(d, -1e-15 + 5e-22 + 1e-21);
+    // Both sides of group 0 arrive together, to the same 1e-21 s.
+    EXPECT_LE(plan->delays.find(0)->length(), 5e-22 + 1e-21);
+}
+
+TEST(MergeSolver, DifficultWindowedRouteVerifies) {
+    // 2000 sinks of the l1 placement, six intermingled groups, windowed
+    // zero skew: one merge meets an inverted window inside the span (the
+    // case above).  Snaking the B edge there (alpha = 0) would leave a
+    // 0.4 ps skew error that worst_violation does not report; builds with
+    // asserts on trip place_split's assert on this route.
+    gen::instance_spec spec = gen::large_spec("l1");
+    spec.num_sinks = 2000;
+    auto inst = gen::generate(spec);
+    gen::apply_intermingled_groups(inst, 6, 1);
+    routing_request req;
+    req.instance = &inst;
+    req.mode = ast_mode::windowed;
+    const route_result res = route(req);
+    ASSERT_TRUE(res.ok()) << res.status_message;
+    eval::verify_options vopt;
+    vopt.skew_tolerance = res.stats.worst_violation + 1e-15;
+    const auto vr = eval::verify_route(res, inst, req.options.model,
+                                       req.spec, vopt);
+    EXPECT_TRUE(vr.ok) << vr.message;
 }
 
 }  // namespace

@@ -162,7 +162,7 @@ TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
             make_request(inst, korders[oi], kshard_counts[si]);
         req.options.engine.cancel.set_faults(plans.back().get());
         submit_options so;
-        so.retry.max_attempts = 2;
+        so.max_attempts = 2;
         handles.push_back(svc.submit(req, so));
         ref_of.push_back(&refs[oi][si]);
         // Interleave healthy traffic so fault unwinds race completions.
@@ -189,7 +189,7 @@ TEST(RaceStress, ConcurrentFaultInjectionStaysCoherent) {
     }
     // The pool survived every unwind: the service still routes cleanly.
     expect_same_tree(
-        svc.route(make_request(inst, merge_order::multi_merge, 1)),
+        svc.submit(make_request(inst, merge_order::multi_merge, 1)).wait(),
         refs[1][0], "post-fault");
 }
 
@@ -228,8 +228,8 @@ TEST(RaceStress, ConcurrentCancellationIsClean) {
         }
     }
     expect_same_tree(
-        svc.route(make_request(inst, merge_order::nearest_pair, 1)), refs[0],
-        "post-cancel");
+        svc.submit(make_request(inst, merge_order::nearest_pair, 1)).wait(),
+        refs[0], "post-cancel");
 }
 
 }  // namespace

@@ -178,7 +178,7 @@ TEST(Resilience, TransientFaultRetriesToBitIdenticalTree) {
     route_service svc(sopt);
 
     routing_request clean = zst_request(inst);
-    const route_result ref = svc.route(clean);
+    const route_result ref = svc.submit(clean).wait();
     ASSERT_TRUE(ref.ok());
 
     fault_plan plan = fault_plan::seeded(0, 0);
@@ -186,7 +186,7 @@ TEST(Resilience, TransientFaultRetriesToBitIdenticalTree) {
     routing_request req = zst_request(inst);
     req.options.engine.cancel.set_faults(&plan);
     submit_options sub;
-    sub.retry.max_attempts = 3;
+    sub.max_attempts = 3;
     route_result res = svc.submit(req, sub).wait();
     ASSERT_TRUE(res.ok()) << res.status_message;
     EXPECT_EQ(res.attempts, 2);  // attempt 1 faulted, attempt 2 clean
@@ -206,7 +206,7 @@ TEST(Resilience, RetryExhaustionReportsTransientFault) {
     sopt.threads = 1;
     route_service svc(sopt);
     submit_options sub;
-    sub.retry.max_attempts = 2;
+    sub.max_attempts = 2;
     route_result res = svc.submit(req, sub).wait();
     EXPECT_EQ(res.status, route_status::transient_fault);
     EXPECT_EQ(res.attempts, 2);
@@ -224,8 +224,8 @@ TEST(Resilience, RetryExhaustionStepsDownTheLadder) {
     sopt.threads = 1;
     route_service svc(sopt);
     submit_options sub;
-    sub.retry.max_attempts = 2;
-    sub.degrade.enabled = true;
+    sub.max_attempts = 2;
+    sub.degrade = true;
     route_result res = svc.submit(req, sub).wait();
     ASSERT_EQ(res.status, route_status::degraded) << res.status_message;
     EXPECT_EQ(res.attempts, 3);  // 2 faulted attempts + 1 rung-1 rerun
@@ -233,6 +233,41 @@ TEST(Resilience, RetryExhaustionStepsDownTheLadder) {
     EXPECT_GE(res.resolved_shards, 2);
     EXPECT_TRUE(res.degradation.verified);
     expect_verified(res, inst, req.spec, "ladder rung 1");
+}
+
+TEST(Resilience, RungOneRerunOfAnUnshardedRouteIsOk) {
+    // Rung 1 only re-partitions, and ledger-backed AST (automatic at zero
+    // skew) and separate-stitch never shard: their rung-1 rerun is the
+    // full-fidelity configuration, so it publishes `ok`, not `degraded`.
+    auto inst = gen::generate(gen::paper_spec("r3"));
+    gen::apply_intermingled_groups(inst, 6, 1);
+    service_options sopt;
+    sopt.threads = 1;
+    route_service svc(sopt);
+    for (const strategy_id s :
+         {strategy_id::ast_dme, strategy_id::separate_stitch}) {
+        routing_request req;
+        req.instance = &inst;
+        req.strategy = s;
+        const route_result clean = svc.submit(req).wait();
+        ASSERT_TRUE(clean.ok()) << clean.status_message;
+        fault_plan plan = fault_plan::seeded(0, 0);
+        plan.schedule(fault_site::selection, 10,
+                      fault_kind::transient_solver);
+        req.options.engine.cancel.set_faults(&plan);
+        submit_options sub;
+        sub.degrade = true;  // one attempt, then the ladder
+        const route_result res = svc.submit(req, sub).wait();
+        const std::string what = to_string(s);
+        EXPECT_EQ(plan.fired(), 1) << what;
+        ASSERT_EQ(res.status, route_status::ok)
+            << what << ": " << res.status_message;
+        EXPECT_TRUE(res.status_message.empty()) << what;
+        EXPECT_EQ(res.attempts, 2) << what;
+        EXPECT_LE(res.resolved_shards, 1) << what;
+        EXPECT_EQ(res.degradation.rung, degrade_rung::none) << what;
+        expect_same_tree(clean, res, what + " rung-1 rerun");
+    }
 }
 
 /// Submit a degrade-enabled ZST request with a `budget` deadline to a
@@ -258,7 +293,7 @@ route_result claimed_past(const topo::instance& inst,
     entered.get_future().wait();  // the only worker is now pinned
 
     submit_options sub;
-    sub.degrade.enabled = true;
+    sub.degrade = true;
     sub.deadline = std::chrono::steady_clock::now() + budget;
     route_handle h = svc.submit(zst_request(inst), sub);
     // Measured from after the submit, so the claim lands at least
@@ -330,7 +365,7 @@ TEST(Resilience, PoisonedShardSalvagesCompletedSubtrees) {
         sopt.threads = threads;
         route_service svc(sopt);
         submit_options sub;
-        sub.degrade.enabled = true;
+        sub.degrade = true;
         route_result res = svc.submit(req, sub).wait();
         EXPECT_EQ(res.status, route_status::degraded)
             << res.status_message;
@@ -362,7 +397,7 @@ TEST(Resilience, StallBurnsDeadlineAndSalvages) {
     sopt.threads = 1;
     route_service svc(sopt);
     submit_options sub;
-    sub.degrade.enabled = true;
+    sub.degrade = true;
     sub.deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
     route_result res = svc.submit(req, sub).wait();
@@ -422,8 +457,8 @@ TEST(Resilience, FaultMatrixAlwaysTerminatesWithTypedOutcome) {
                         req.options.engine.shards = 4;
                     req.options.engine.cancel.set_faults(&plan);
                     submit_options sub;
-                    sub.retry.max_attempts = attempts;
-                    sub.degrade.enabled = degrade;
+                    sub.max_attempts = attempts;
+                    sub.degrade = degrade;
                     route_result res = svc.submit(req, sub).wait();
                     EXPECT_NE(res.status, route_status::error)
                         << what << ": " << res.status_message;

@@ -4,8 +4,8 @@
 // isolate a failing request from the rest of its batch.  Also covers the
 // streaming API (async submit, priority ordering, per-request deadlines,
 // cooperative cancellation with one-round latency, scratch-pool recovery),
-// the strategy registry, uniform timing/threads bookkeeping, scratch
-// reuse, and the parallel multi-merge fan-out.
+// strategy names, uniform timing/threads bookkeeping, scratch reuse, and
+// the parallel multi-merge fan-out.
 
 #include "core/route_service.hpp"
 #include "eval/report.hpp"
@@ -104,17 +104,23 @@ route_result direct_call(const routing_request& r) {
     throw std::logic_error("unknown strategy");
 }
 
-// ------------------------------------------------------ blocker strategy
-// A registered test strategy that parks its worker on a gate until the
-// test releases it — the deterministic way to pin a single-worker pool at
-// a known point while submissions queue up behind it.
+// --------------------------------------------------------- gate probe
+// A cancel_probe whose first poll after a gate reset parks the worker at
+// the dispatch checkpoint until the test releases it — the deterministic
+// way to pin a single-worker pool at a known point while submissions
+// queue up behind it.  Later polls pass straight through, so the pinned
+// request then routes normally.
 
 struct worker_gate {
     std::mutex mu;
     std::condition_variable cv;
     bool open = false;
     bool entered = false;
+    cancel_probe probe;
 
+    worker_gate() {
+        probe.on_poll = [this](std::uint64_t) { park_once(); };
+    }
     void reset() {
         std::lock_guard<std::mutex> lk(mu);
         open = false;
@@ -131,6 +137,13 @@ struct worker_gate {
         }
         cv.notify_all();
     }
+    void park_once() {
+        std::unique_lock<std::mutex> lk(mu);
+        if (entered) return;
+        entered = true;
+        cv.notify_all();
+        cv.wait(lk, [&] { return open; });
+    }
 };
 
 worker_gate& blocker_gate() {
@@ -138,24 +151,12 @@ worker_gate& blocker_gate() {
     return g;
 }
 
-route_result strategy_blocker(const routing_request&, routing_context&) {
-    worker_gate& g = blocker_gate();
-    std::unique_lock<std::mutex> lk(g.mu);
-    g.entered = true;
-    g.cv.notify_all();
-    g.cv.wait(lk, [&] { return g.open; });
-    return {};
-}
-
-constexpr strategy_id kblocker_id = static_cast<strategy_id>(100);
-
-void ensure_blocker_registered() {
-    static bool once = [] {
-        strategy_registry::global().add(kblocker_id, "test_blocker", "tblk",
-                                        &strategy_blocker);
-        return true;
-    }();
-    (void)once;
+/// A request on `inst` that parks its worker on the gate at dispatch.
+routing_request blocker_request(const topo::instance& inst) {
+    routing_request r;
+    r.instance = &inst;
+    r.options.engine.cancel.set_probe(&blocker_gate().probe);
+    return r;
 }
 
 // ------------------------------------------------------------- the tests
@@ -173,9 +174,7 @@ TEST(RouteService, BatchedMatchesDirectCallsBitExact) {
         for (std::size_t i = 0; i < reqs.size(); ++i) {
             ASSERT_TRUE(got[i].ok()) << got[i].status_message;
             const auto ref = direct_call(reqs[i]);
-            expect_same_route(got[i], ref,
-                              strategy_registry::global().name_of(
-                                  reqs[i].strategy));
+            expect_same_route(got[i], ref, to_string(reqs[i].strategy));
         }
     }
 }
@@ -205,9 +204,8 @@ TEST(RouteService, StreamingSubmitMatchesDirectCallsBitExact) {
         ASSERT_EQ(batch.size(), reqs.size());
         for (std::size_t i = 0; i < reqs.size(); ++i) {
             const std::string what =
-                strategy_registry::global().name_of(reqs[i].strategy) +
-                " threads=" + std::to_string(threads) + " req " +
-                std::to_string(i);
+                std::string(to_string(reqs[i].strategy)) + " threads=" +
+                std::to_string(threads) + " req " + std::to_string(i);
             expect_same_route(batch[i], refs[i], "batch " + what);
             const auto streamed = handles[i].wait();
             expect_same_route(streamed, refs[i], "stream " + what);
@@ -258,11 +256,10 @@ TEST(RouteService, ParallelMultiMergeMatchesSequentialEngine) {
         service_options sopt;
         sopt.threads = 4;
         route_service svc(sopt);
-        const auto threaded = svc.route(r);
+        const auto threaded = svc.submit(r).wait();
         EXPECT_GT(threaded.stats.rounds, 0);
         expect_same_route(threaded, sequential,
-                          "multi_merge " +
-                              strategy_registry::global().name_of(s));
+                          std::string("multi_merge ") + to_string(s));
     }
 }
 
@@ -308,8 +305,8 @@ TEST(RouteService, InvalidRequestIsNeitherRetriedNorDegraded) {
         }
     }
     submit_options sub;
-    sub.retry.max_attempts = 3;
-    sub.degrade.enabled = true;
+    sub.max_attempts = 3;
+    sub.degrade = true;
     service_options sopt;
     sopt.threads = 2;
     route_service svc(sopt);
@@ -353,7 +350,7 @@ TEST(RouteService, TimingAndThreadsRecordedUniformly) {
     sopt.threads = 3;
     route_service svc(sopt);
     EXPECT_EQ(svc.threads(), 3);
-    const auto served = svc.route(r);
+    const auto served = svc.submit(r).wait();
     EXPECT_GT(served.cpu_seconds, 0.0);
     EXPECT_EQ(served.threads_used, 3);
     const auto batch = svc.route_batch({r});
@@ -362,21 +359,20 @@ TEST(RouteService, TimingAndThreadsRecordedUniformly) {
     EXPECT_EQ(batch[0].threads_used, 3);
 }
 
-TEST(RouteService, RegistryResolvesNamesAndRejectsUnknownIds) {
-    auto& reg = strategy_registry::global();
-    EXPECT_EQ(reg.id_of("ast_dme"), strategy_id::ast_dme);
-    EXPECT_EQ(reg.id_of("ast"), strategy_id::ast_dme);
-    EXPECT_EQ(reg.id_of("zst"), strategy_id::zst_dme);
-    EXPECT_EQ(reg.id_of("bst"), strategy_id::ext_bst);
-    EXPECT_EQ(reg.id_of("sep"), strategy_id::separate_stitch);
-    EXPECT_FALSE(reg.id_of("nonesuch").has_value());
-    // Other tests may have registered extensions (the blocker strategy);
-    // the four built-ins are always present.
-    EXPECT_GE(reg.names().size(), 4u);
-    for (const char* name :
-         {"zst_dme", "ext_bst", "ast_dme", "separate_stitch"})
-        EXPECT_TRUE(reg.id_of(name).has_value()) << name;
-    EXPECT_EQ(reg.name_of(strategy_id::ext_bst), "ext_bst");
+TEST(RouteService, StrategyNamesRoundTripAndUnknownIdsThrow) {
+    for (const strategy_id s :
+         {strategy_id::zst_dme, strategy_id::ext_bst, strategy_id::ast_dme,
+          strategy_id::separate_stitch})
+        EXPECT_EQ(parse_strategy(to_string(s)), s) << to_string(s);
+    EXPECT_STREQ(to_string(strategy_id::ext_bst), "ext_bst");
+    EXPECT_EQ(parse_strategy("ast_dme"), strategy_id::ast_dme);
+    EXPECT_EQ(parse_strategy("ast"), strategy_id::ast_dme);
+    EXPECT_EQ(parse_strategy("zst"), strategy_id::zst_dme);
+    EXPECT_EQ(parse_strategy("bst"), strategy_id::ext_bst);
+    EXPECT_EQ(parse_strategy("sep"), strategy_id::separate_stitch);
+    for (const char* unknown : {"nonesuch", "", "AST", "ast "})
+        EXPECT_FALSE(parse_strategy(unknown).has_value()) << unknown;
+    EXPECT_STREQ(to_string(static_cast<strategy_id>(99)), "?");
 
     const auto inst = small_instance(24, 1, 88, false);
     routing_request r;
@@ -446,10 +442,9 @@ TEST(RouteService, CompletionCallbackAndTryGet) {
 
 TEST(RouteService, PriorityOrderIsClaimedFirstBySingleWorker) {
     // A single-worker pool makes claim order observable: hold the worker
-    // on the blocker gate, queue a low-priority backlog, then a late
+    // on the gate, queue a low-priority backlog, then a late
     // high-priority submit — the high one must complete before the
     // backlog.
-    ensure_blocker_registered();
     blocker_gate().reset();
     const auto inst = small_instance(40, 3, 7, true);
 
@@ -469,10 +464,7 @@ TEST(RouteService, PriorityOrderIsClaimedFirstBySingleWorker) {
         return so;
     };
 
-    routing_request blocker;
-    blocker.instance = &inst;
-    blocker.strategy = kblocker_id;
-    auto hgate = svc.submit(blocker, tagged("gate", 100));
+    auto hgate = svc.submit(blocker_request(inst), tagged("gate", 100));
     blocker_gate().wait_entered();  // the worker is now pinned
 
     routing_request r;
@@ -494,7 +486,6 @@ TEST(RouteService, PriorityOrderIsClaimedFirstBySingleWorker) {
 }
 
 TEST(RouteService, CancelQueuedRequestCompletesImmediately) {
-    ensure_blocker_registered();
     blocker_gate().reset();
     const auto inst = small_instance(40, 3, 8, true);
 
@@ -502,10 +493,7 @@ TEST(RouteService, CancelQueuedRequestCompletesImmediately) {
     sopt.threads = 1;
     route_service svc(sopt);
 
-    routing_request blocker;
-    blocker.instance = &inst;
-    blocker.strategy = kblocker_id;
-    auto hgate = svc.submit(blocker);
+    auto hgate = svc.submit(blocker_request(inst));
     blocker_gate().wait_entered();
 
     routing_request r;
@@ -804,13 +792,10 @@ TEST(RouteHandle, TicketRevokeRacesWorkerClaim) {
     // state's claimed-exchange completes it — every handle resolves
     // exactly once, as `cancelled` or as a full result, never both and
     // never neither.
-    ensure_blocker_registered();
     const auto inst = small_instance(40, 1, 33, false);
     routing_request work;
     work.instance = &inst;
-    routing_request blocker;
-    blocker.instance = &inst;
-    blocker.strategy = kblocker_id;
+    const routing_request blocker = blocker_request(inst);
     for (int round = 0; round < 5; ++round) {
         blocker_gate().reset();
         service_options sopt;

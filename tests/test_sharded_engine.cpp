@@ -161,7 +161,7 @@ TEST(ShardedEngine, FixedShardCountBitIdenticalAcrossThreadsAndBackends) {
                     svc.route_batch({sharded_request(inst, s, 4, be)});
                 expect_same_tree(
                     got[0], ref,
-                    strategy_registry::global().name_of(s) + " threads=" +
+                    std::string(to_string(s)) + " threads=" +
                         std::to_string(threads) +
                         (be == nn_backend::grid ? " grid" : " linear"));
             }
