@@ -58,8 +58,7 @@ std::string verify_tree_structure(const topo::clock_tree& t,
 }
 
 /// Friend-of-grid_index accessor shim: the auditor reads the private
-/// registration state (spans, cell vectors, slab mirror, packed arcs)
-/// without widening the class's public surface.
+/// cells without widening the class's public surface.
 struct grid_inspector {
     static std::string check(const grid_index& g, const topo::clock_tree& t) {
         std::ostringstream err;
@@ -67,88 +66,42 @@ struct grid_inspector {
                                                g.active().end());
         if (live.size() != g.active().size()) return "duplicate active id";
 
-        // Active side: span matches the node's current arc, registration
-        // covers exactly the span, the packed-arc mirror is current.
+        // Active side: each id sits exactly once in every cell of its
+        // arc's range.
         for (const topo::node_id id : g.active()) {
-            const auto sid = static_cast<std::size_t>(id);
-            if (sid >= g.span_.size() || sid >= g.arcs_.size()) {
-                err << "active id " << id << " has no registration record";
-                return err.str();
-            }
-            const geom::tilted_rect& arc = t.node(id).arc;
-            const grid_index::cell_range want = g.range_of(arc);
-            const grid_index::cell_range& have = g.span_[sid];
-            if (want.u0 != have.u0 || want.u1 != have.u1 ||
-                want.v0 != have.v0 || want.v1 != have.v1) {
-                err << "id " << id << " registered span [" << have.u0 << ","
-                    << have.u1 << "]x[" << have.v0 << "," << have.v1
-                    << "] does not cover its arc's range [" << want.u0 << ","
-                    << want.u1 << "]x[" << want.v0 << "," << want.v1 << "]";
-                return err.str();
-            }
-            const packed_arc mirror = g.arcs_[sid];
-            const packed_arc fresh = packed_arc::of(arc);
-            if (mirror.u_lo != fresh.u_lo || mirror.u_hi != fresh.u_hi ||
-                mirror.v_lo != fresh.v_lo || mirror.v_hi != fresh.v_hi) {
-                err << "id " << id << " packed-arc mirror is stale";
-                return err.str();
-            }
-            for (int cv = have.v0; cv <= have.v1; ++cv) {
-                for (int cu = have.u0; cu <= have.u1; ++cu) {
+            const grid_index::cell_range want = g.range_of(t.node(id).arc);
+            for (int cv = want.v0; cv <= want.v1; ++cv) {
+                for (int cu = want.u0; cu <= want.u1; ++cu) {
                     const auto& cell = g.cells_[g.cell_at(cu, cv)];
                     const auto hits = static_cast<int>(
                         std::count(cell.begin(), cell.end(), id));
                     if (hits != 1) {
                         err << "id " << id << " appears " << hits
-                            << " times in covered cell (" << cu << "," << cv
-                            << ")";
+                            << " times in cell (" << cu << "," << cv
+                            << ") of its arc's range [" << want.u0 << ","
+                            << want.u1 << "]x[" << want.v0 << "," << want.v1
+                            << "]";
                         return err.str();
                     }
                 }
             }
         }
 
-        // Cell side: only live ids, each within its span; slab occupancy
-        // mirror agrees with the authoritative vectors.
+        // Cell side: only live ids, each inside its arc's range.
         for (std::size_t c = 0; c < g.cells_.size(); ++c) {
-            const auto& cell = g.cells_[c];
             const int cu = static_cast<int>(c % static_cast<std::size_t>(g.nu_));
             const int cv = static_cast<int>(c / static_cast<std::size_t>(g.nu_));
-            for (const topo::node_id id : cell) {
+            for (const topo::node_id id : g.cells_[c]) {
                 if (live.count(id) == 0) {
                     err << "cell (" << cu << "," << cv
                         << ") holds non-active id " << id;
                     return err.str();
                 }
-                const grid_index::cell_range& sp =
-                    g.span_[static_cast<std::size_t>(id)];
+                const grid_index::cell_range sp = g.range_of(t.node(id).arc);
                 if (cu < sp.u0 || cu > sp.u1 || cv < sp.v0 || cv > sp.v1) {
-                    err << "id " << id << " found outside its span at cell ("
-                        << cu << "," << cv << ")";
+                    err << "id " << id << " found outside its arc's range at "
+                        << "cell (" << cu << "," << cv << ")";
                     return err.str();
-                }
-            }
-            const grid_index::slab_cell& sc = g.slab_[c];
-            if (sc.n != cell.size()) {
-                err << "slab population " << sc.n << " != cell population "
-                    << cell.size() << " at cell (" << cu << "," << cv << ")";
-                return err.str();
-            }
-            if (sc.n <= grid_index::slab_cell::kinline) {
-                std::unordered_set<topo::node_id> inline_ids;
-                for (std::uint32_t k = 0; k < sc.n; ++k)
-                    inline_ids.insert(sc.ids[k]);
-                if (inline_ids.size() != cell.size()) {
-                    err << "slab inline ids duplicate at cell (" << cu << ","
-                        << cv << ")";
-                    return err.str();
-                }
-                for (const topo::node_id id : cell) {
-                    if (inline_ids.count(id) == 0) {
-                        err << "slab inline ids miss id " << id
-                            << " at cell (" << cu << "," << cv << ")";
-                        return err.str();
-                    }
                 }
             }
         }

@@ -77,12 +77,8 @@ void checkpoint(const char* site, const std::string& diagnostic);
                                                 std::size_t num_sinks);
 
 /// Grid backend vs live set (grid_index's core invariant): every active
-/// root is registered in exactly the cells its recorded span covers, the
-/// span matches the cell range of the node's current arc, every id found
-/// in a cell is active and in range, the packed-arc mirror matches the
-/// tree's arcs, and the slab occupancy mirror agrees with the
-/// authoritative cell vectors (population always; inline ids as a set
-/// when the cell is not spilled).
+/// root sits exactly once in each cell of its arc's range, and every cell
+/// holds only active ids whose arc's range covers that cell.
 [[nodiscard]] std::string verify_grid_vs_live_set(const grid_index& g,
                                                   const topo::clock_tree& t);
 

@@ -19,7 +19,7 @@
 /// The hot path is sub-quadratic by construction:
 ///   * nearest-neighbour queries go through a uniform spatial grid over the
 ///     arc boxes (grid_index; ring expansion with the arc-distance lower
-///     bound over the packed-arc distance kernels, DESIGN.md §11), with the
+///     bound, reading each candidate's arc from the tree), with the
 ///     exact linear scan (nn_index) selectable as a verification backend
 ///     via `engine_options::backend`; a root that takes part in no banned
 ///     pair queries with no ban probe at all;

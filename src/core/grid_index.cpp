@@ -1,5 +1,6 @@
 #include "core/grid_index.hpp"
 
+#include <cassert>
 #include <cmath>
 
 namespace astclk::core {
@@ -51,14 +52,13 @@ void grid_index::size_to(const std::vector<topo::node_id>& items) {
         nv_ = std::max(1, static_cast<int>(std::floor(bv.length() / cell_)) + 1);
     }
     inv_cell_ = 1.0 / cell_;
-    // Rounding in range_of's cell map and in the distance kernel is a few
-    // ulps of the coordinate scale; 1e-9 of it is far above that and far
-    // below any cell side.
+    // Rounding in range_of's cell map and in arc_gap is a few ulps of the
+    // coordinate scale; 1e-9 of it is far above that and far below any
+    // cell side.
     margin_eps_ = 1e-9 * (std::max(std::abs(u_lo_), std::abs(v_lo_)) +
                           extent + cell_);
     cells_.assign(static_cast<std::size_t>(nu_) * static_cast<std::size_t>(nv_),
                   {});
-    slab_.assign(cells_.size(), {});
     sized_for_ = std::max<std::size_t>(std::size_t{1}, items.size());
 }
 
@@ -77,20 +77,10 @@ int grid_index::max_ring_from(const cell_range& q) const {
 }
 
 void grid_index::place(topo::node_id id) {
-    const auto i = static_cast<std::size_t>(id);
-    if (i >= span_.size()) span_.resize(i + 1);
-    if (i >= arcs_.size()) arcs_.resize(i + 1);
-    arcs_[i] = packed_arc::of(tree_->node(id).arc);
     const cell_range c = range_of(tree_->node(id).arc);
-    span_[i] = c;
     for (int cv = c.v0; cv <= c.v1; ++cv)
-        for (int cu = c.u0; cu <= c.u1; ++cu) {
-            const std::size_t at = cell_at(cu, cv);
-            cells_[at].push_back(id);
-            slab_cell& sc = slab_[at];
-            if (sc.n < slab_cell::kinline) sc.ids[sc.n] = id;
-            ++sc.n;  // past kinline the cell is spilled; count stays true
-        }
+        for (int cu = c.u0; cu <= c.u1; ++cu)
+            cells_[cell_at(cu, cv)].push_back(id);
 }
 
 void grid_index::insert(topo::node_id id) {
@@ -100,33 +90,17 @@ void grid_index::insert(topo::node_id id) {
 
 void grid_index::erase(topo::node_id id) {
     set_.erase(id);
-    const auto i = static_cast<std::size_t>(id);
-    const cell_range& c = span_[i];
+    // The arc has not changed since place() registered it (see the
+    // header), so its range names exactly the cells that hold the id.
+    const cell_range c = range_of(tree_->node(id).arc);
     for (int cv = c.v0; cv <= c.v1; ++cv)
         for (int cu = c.u0; cu <= c.u1; ++cu) {
-            const std::size_t at = cell_at(cu, cv);
-            auto& cell = cells_[at];
-            for (std::size_t k = 0; k < cell.size(); ++k) {
-                if (cell[k] == id) {
-                    cell[k] = cell.back();
-                    cell.pop_back();
-                    break;
-                }
-            }
-            slab_cell& sc = slab_[at];
-            if (sc.n <= slab_cell::kinline) {
-                // Inline is authoritative: swap-pop the id out of it.
-                for (std::uint32_t k = 0; k < sc.n; ++k)
-                    if (sc.ids[k] == id) {
-                        sc.ids[k] = sc.ids[sc.n - 1];
-                        break;
-                    }
-                --sc.n;
-            } else if (--sc.n <= slab_cell::kinline) {
-                // The cell just un-spilled: refill inline from the
-                // (already shrunk) authoritative vector.
-                for (std::uint32_t k = 0; k < sc.n; ++k) sc.ids[k] = cell[k];
-            }
+            auto& cell = cells_[cell_at(cu, cv)];
+            const auto it = std::find(cell.begin(), cell.end(), id);
+            assert(it != cell.end() && "id missing from a cell of its range");
+            if (it == cell.end()) continue;
+            *it = cell.back();
+            cell.pop_back();
         }
     // Occupancy-adaptive rebuild: once the survivors are below 1/4 of the
     // sizing population, re-derive bounds and cell size from their current

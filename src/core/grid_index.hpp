@@ -53,7 +53,7 @@
 ///    covers.  (That side is vacuous anyway: no cell lies beyond the
 ///    border.)
 /// The epsilon (1e-9 of the grid's coordinate scale, far above the
-/// rounding of the cell map and the distance kernel, far below any cell)
+/// rounding of the cell map and of `arc_gap`, far below any cell)
 /// covers coordinates that `range_of`'s floor assigns across a cell
 /// boundary by an ulp.  With the margin, a query whose ring-0 best is
 /// nearer than its cell edges stops before ring 1.
@@ -71,9 +71,10 @@
 /// admissible regardless), `for_each_within` stays an admissible superset,
 /// and the active_set — the engine's slot tie-break — is untouched.
 ///
-/// Both queries compute their distances with the packed-arc kernels
-/// defined below (`batch_arc_nearest`, `batch_arc_for_each`; DESIGN.md
-/// §11) over a 32-byte-per-arc mirror of the registered arcs.
+/// The grid stores ids only: every arc is read from the tree.  Only
+/// `clock_tree::add_leaf` and `add_internal` write a node's arc, so an
+/// active root's arc is the one it was registered under, and `erase`
+/// recomputes the cells to leave from it.
 
 #include "core/nn_index.hpp"
 #include "topo/tree.hpp"
@@ -86,83 +87,6 @@
 #include <vector>
 
 namespace astclk::core {
-
-/// Cache-dense mirror of one arc box: the four tilted-space endpoints and
-/// nothing else.  An array of these indexed by node id gives the distance
-/// kernels a 32-byte gather stride instead of pulling whole tree_nodes
-/// (delay maps included) through the cache per candidate (DESIGN.md §11).
-struct packed_arc {
-    double u_lo = 0.0, u_hi = 0.0, v_lo = 0.0, v_hi = 0.0;
-
-    static packed_arc of(const geom::tilted_rect& r) {
-        return {r.u().lo, r.u().hi, r.v().lo, r.v().hi};
-    }
-};
-
-/// Distance kernel for the ring expansion's argmin: the tilted-space gap
-/// of `n` candidate arcs (gathered from `arcs` by id) against the query
-/// box `q`, folded straight into the running lexicographic-min
-/// `(best_d, best)`.
-///
-/// The per-axis gap is computed branchlessly as
-/// `max(0, max(o.lo - hi, lo - o.hi))`, which is bit-identical to the
-/// branchy `interval::gap` for every pair of non-empty intervals: when
-/// the intervals overlap both differences are <= 0 and the result is
-/// +0.0 (max(+0.0, -x) picks the first operand), and when they are
-/// disjoint exactly one difference is positive and equals the branchy
-/// result.  The gap is symmetric in the same way (the two branches swap),
-/// so query-vs-candidate and candidate-vs-query orientations agree
-/// bitwise.
-///
-/// `center` is skipped (a query never partners itself); `floor` and
-/// `banned` are consulted only for candidates that would improve the
-/// running best — a skipped candidate never updates the best either way,
-/// so this computes exactly the min of a check-every-candidate scan.  The
-/// min over a candidate multiset is visit-order independent, so callers
-/// may present candidates in any order (the slab cells do).
-template <class Banned>
-inline void batch_arc_nearest(const packed_arc* arcs,
-                              const topo::node_id* ids, std::size_t n,
-                              const packed_arc& q, topo::node_id center,
-                              Banned banned, const nn_floor& floor,
-                              topo::node_id& best, double& best_d) {
-    const double qul = q.u_lo, quh = q.u_hi;
-    const double qvl = q.v_lo, qvh = q.v_hi;
-    for (std::size_t k = 0; k < n; ++k) {
-        const topo::node_id other = ids[k];
-        if (other == center) continue;
-        const packed_arc& a = arcs[static_cast<std::size_t>(other)];
-        const double gu =
-            std::max(0.0, std::max(a.u_lo - quh, qul - a.u_hi));
-        const double gv =
-            std::max(0.0, std::max(a.v_lo - qvh, qvl - a.v_hi));
-        const double d = std::max(gu, gv);
-        if (d < best_d || (d == best_d && other < best)) {
-            if (!floor.admits(d, other) || banned(pair_key(center, other)))
-                continue;
-            best_d = d;
-            best = other;
-        }
-    }
-}
-
-/// Distance kernel for the post-commit fold-in: the same gap per
-/// candidate, handed to `fn(id, d)` in candidate order.
-template <class Fn>
-inline void batch_arc_for_each(const packed_arc* arcs,
-                               const topo::node_id* ids, std::size_t n,
-                               const packed_arc& q, Fn fn) {
-    const double qul = q.u_lo, quh = q.u_hi;
-    const double qvl = q.v_lo, qvh = q.v_hi;
-    for (std::size_t k = 0; k < n; ++k) {
-        const packed_arc& a = arcs[static_cast<std::size_t>(ids[k])];
-        const double gu =
-            std::max(0.0, std::max(a.u_lo - quh, qul - a.u_hi));
-        const double gv =
-            std::max(0.0, std::max(a.v_lo - qvh, qvl - a.v_hi));
-        fn(ids[k], std::max(gu, gv));
-    }
-}
 
 namespace audit {
 struct grid_inspector;
@@ -198,28 +122,23 @@ class grid_index {
 
     /// Nearest active root to `id` by arc distance, skipping `id` itself,
     /// banned partners and candidates at or below `floor`; identical
-    /// contract (including id tie-breaks) to nn_index::nearest_if.  The ring walk reads the contiguous cell-slab
-    /// mirror and hands each cell's candidate run to the fused kernel
-    /// `batch_arc_nearest` (DESIGN.md §11), which computes the gaps over
-    /// the packed-arc mirror and folds the running best in the same pass;
-    /// a spilled cell (population past the slab's inline capacity) hands
-    /// over its authoritative cell vector instead.  Bit-identical to the
-    /// linear scan:
-    ///  * the walk visits every cell of each ring; within a cell the
-    ///    candidate *order* may differ from the vector's, but the fold is
-    ///    a strict lexicographic min over (distance, id) — visit-order
-    ///    independent — and the post-ring best that drives the ring-bound
-    ///    early exit is that same min, so termination is exact too;
+    /// contract (including id tie-breaks) to nn_index::nearest_if.
+    /// Bit-identical to the linear scan:
+    ///  * the walk visits every cell of each ring and folds a strict
+    ///    lexicographic min over (distance, id) — visit-order independent —
+    ///    and the post-ring best that drives the ring-bound early exit is
+    ///    that same min, so termination is exact too;
     ///  * the floor and ban checks run only for candidates that would
     ///    improve the running best — equivalent to checking every
     ///    candidate, since a skipped candidate never updates the best;
-    ///  * the kernel's branchless gap is bit-identical to `interval::gap`
-    ///    (see batch_arc_nearest above).
+    ///  * `arc_gap` is bit-identical to `tilted_rect::distance`.
     template <class Banned>
     [[nodiscard]] std::optional<std::pair<topo::node_id, double>> nearest_if(
         topo::node_id id, Banned banned, nn_floor floor = {}) const {
-        const packed_arc q = arcs_[static_cast<std::size_t>(id)];
-        const cell_range qr = range_of(tree_->node(id).arc);
+        // By value: the loop calls `banned`, so a reference would be
+        // re-read after every probe.
+        const geom::tilted_rect q = tree_->node(id).arc;
+        const cell_range qr = range_of(q);
         const double margin = ring_margin(q, qr);
         topo::node_id best = topo::knull_node;
         double best_d = std::numeric_limits<double>::infinity();
@@ -229,14 +148,17 @@ class grid_index {
                 static_cast<double>(r - 1) * cell_ + margin > best_d)
                 break;  // ring lower bound beats every remaining candidate
             visit_ring_cells(qr, r, [&](std::size_t c) {
-                const slab_cell& sc = slab_[c];
-                if (sc.n <= slab_cell::kinline)
-                    batch_arc_nearest(arcs_.data(), sc.ids, sc.n, q, id,
-                                      banned, floor, best, best_d);
-                else
-                    batch_arc_nearest(arcs_.data(), cells_[c].data(),
-                                      cells_[c].size(), q, id, banned, floor,
-                                      best, best_d);
+                for (const topo::node_id other : cells_[c]) {
+                    if (other == id) continue;
+                    const double d = arc_gap(tree_->node(other).arc, q);
+                    if (d < best_d || (d == best_d && other < best)) {
+                        if (!floor.admits(d, other) ||
+                            banned(pair_key(id, other)))
+                            continue;
+                        best_d = d;
+                        best = other;
+                    }
+                }
             });
         }
         if (best == topo::knull_node) return std::nullopt;
@@ -245,60 +167,32 @@ class grid_index {
 
     /// Invoke `fn(id, d)` for every active root registered in a cell within
     /// `radius` of `rect`'s covered range — a superset of the roots whose
-    /// arc lies within `radius` of `rect` — where `d` is the arc distance
-    /// of the candidate to `rect`, computed per cell by the kernel
-    /// `batch_arc_for_each` (the gap is symmetric bitwise, so it matches a
-    /// scalar `candidate.distance(rect)`).  Ids touching several cells are
-    /// reported once per cell, and per-cell order follows the slab, so
+    /// arc lies within `radius` of `rect` — where `d` is the candidate's
+    /// arc distance to `rect`, bitwise equal to
+    /// `candidate.distance(rect)`.  Ids touching several cells are
+    /// reported once per cell, in cell order rather than active order, so
     /// callers must be idempotent and visit-order independent (the
     /// engine's strict-`<` NN fold is both).
     template <class Fn>
     void for_each_within(const geom::tilted_rect& rect, double radius,
                          Fn fn) const {
-        const cell_range q = range_of(rect.expanded(std::max(radius, 0.0)));
-        const packed_arc pr = packed_arc::of(rect);
-        for (int cv = q.v0; cv <= q.v1; ++cv)
-            for (int cu = q.u0; cu <= q.u1; ++cu) {
-                const std::size_t c = cell_at(cu, cv);
-                const slab_cell& sc = slab_[c];
-                if (sc.n <= slab_cell::kinline)
-                    batch_arc_for_each(arcs_.data(), sc.ids, sc.n, pr, fn);
-                else
-                    batch_arc_for_each(arcs_.data(), cells_[c].data(),
-                                       cells_[c].size(), pr, fn);
-            }
+        const geom::tilted_rect q = rect;  // by value, as in nearest_if
+        const cell_range c = range_of(q.expanded(std::max(radius, 0.0)));
+        for (int cv = c.v0; cv <= c.v1; ++cv)
+            for (int cu = c.u0; cu <= c.u1; ++cu)
+                for (const topo::node_id other : cells_[cell_at(cu, cv)])
+                    fn(other, arc_gap(tree_->node(other).arc, q));
     }
 
   private:
-    /// The invariant auditor (core/audit.hpp) cross-checks the private
-    /// registration state — span_, cells_, slab_, arcs_ — against the
-    /// live set and the tree's arcs without widening the public surface.
+    /// The invariant auditor (core/audit.hpp) cross-checks the cells
+    /// against the live set and the tree's arcs without widening the
+    /// public surface.
     friend struct audit::grid_inspector;
 
     struct cell_range {
         int u0 = 0, u1 = 0, v0 = 0, v1 = 0;
     };
-
-    /// Contiguous per-cell occupancy record for the SoA queries
-    /// (DESIGN.md §11): one 32-byte slot per cell — the population count
-    /// and up to kinline inline ids.  A ring row reads these slots
-    /// sequentially instead of chasing every cell vector's heap
-    /// allocation, which is where a query at ~1 expected occupant per
-    /// cell spends most of its time.  A cell whose population exceeds
-    /// kinline (border-cell clamping can pile escaped arcs up) is
-    /// *spilled*: `n` keeps the true count, the inline ids stop being
-    /// authoritative, and the queries read the cell vector instead; an
-    /// erase that brings the cell back to kinline refills the inline ids
-    /// from the vector.  Swap-pop erases permute the inline order, so the
-    /// slab may list a cell's ids in a different order than the vector —
-    /// only order-independent folds (the queries' lexicographic-min and
-    /// the engine's strict-`<` fold-in) may read it.
-    struct slab_cell {
-        static constexpr std::uint32_t kinline = 7;
-        std::uint32_t n = 0;          ///< true population of the cell
-        topo::node_id ids[kinline];   ///< valid iff n <= kinline
-    };
-    static_assert(sizeof(slab_cell) == 32, "two cells per cache line");
 
     /// Below this population the adaptive rebuild stops bothering: the
     /// whole grid is a handful of cells either way.
@@ -314,7 +208,8 @@ class grid_index {
     /// Size origin/cell/cells_ for `items` (bounds from their current
     /// arcs); does not touch the active_set registration.
     void size_to(const std::vector<topo::node_id>& items);
-    /// Register an id's arc in the covering cells (set_ handled by caller).
+    /// Register an id in the cells of its arc's range (set_ handled by
+    /// caller).
     void place(topo::node_id id);
     /// Re-size and re-place every active id over its current arc.
     void rebuild();
@@ -333,13 +228,30 @@ class grid_index {
     [[nodiscard]] int max_ring_from(const cell_range& q) const;
     /// Distance from arc `q` to the nearest edge of its covered range `c`,
     /// less margin_eps_, floored at 0 (the ring bound's m; see the header).
-    [[nodiscard]] double ring_margin(const packed_arc& q,
+    [[nodiscard]] double ring_margin(const geom::tilted_rect& q,
                                      const cell_range& c) const {
-        const double mu = std::min(q.u_lo - (u_lo_ + c.u0 * cell_),
-                                   (u_lo_ + (c.u1 + 1) * cell_) - q.u_hi);
-        const double mv = std::min(q.v_lo - (v_lo_ + c.v0 * cell_),
-                                   (v_lo_ + (c.v1 + 1) * cell_) - q.v_hi);
+        const double mu = std::min(q.u().lo - (u_lo_ + c.u0 * cell_),
+                                   (u_lo_ + (c.u1 + 1) * cell_) - q.u().hi);
+        const double mv = std::min(q.v().lo - (v_lo_ + c.v0 * cell_),
+                                   (v_lo_ + (c.v1 + 1) * cell_) - q.v().hi);
         return std::max(0.0, std::min(mu, mv) - margin_eps_);
+    }
+
+    /// Tilted-space L-infinity gap of arc `a` to query `q`, with the
+    /// per-axis gap written branchlessly as
+    /// `max(0, max(a.lo - q.hi, q.lo - a.hi))`.  Bit-identical to
+    /// `q.distance(a)` for non-empty intervals: when they overlap both
+    /// differences are <= 0 and the result is +0.0 (max(+0.0, -x) picks
+    /// the first operand), and when they are disjoint exactly one
+    /// difference is positive and equals `interval::gap`'s branch.  The
+    /// two branches swap under a <-> q, so `a.distance(q)` agrees too.
+    [[nodiscard]] static double arc_gap(const geom::tilted_rect& a,
+                                        const geom::tilted_rect& q) {
+        const double gu = std::max(
+            0.0, std::max(a.u().lo - q.u().hi, q.u().lo - a.u().hi));
+        const double gv = std::max(
+            0.0, std::max(a.v().lo - q.v().hi, q.v().lo - a.v().hi));
+        return std::max(gu, gv);
     }
 
     /// Apply `fn` to the index of every cell at Chebyshev cell distance
@@ -369,13 +281,7 @@ class grid_index {
 
     const topo::clock_tree* tree_;
     active_set set_;
-    std::vector<cell_range> span_;  ///< id -> registered cell range
-    /// Cache-dense id -> arc-endpoint mirror for the batched distance
-    /// kernel (written by place(); entries of erased ids go stale but are
-    /// never gathered — only registered ids reach the kernel).
-    std::vector<packed_arc> arcs_;
-    std::vector<std::vector<topo::node_id>> cells_;
-    std::vector<slab_cell> slab_;  ///< cell -> contiguous occupancy mirror
+    std::vector<std::vector<topo::node_id>> cells_;  ///< cell -> ids
     double u_lo_ = 0.0, v_lo_ = 0.0;  ///< grid origin in tilted space
     double cell_ = 1.0;               ///< cell side, tilted units
     double inv_cell_ = 1.0;

@@ -33,8 +33,10 @@ struct thread_pool::impl {
     std::condition_variable cv_work_;
     std::deque<std::shared_ptr<job>> queue_;
     /// Submitted one-shot tasks, keyed (-priority, seq): begin() is the
-    /// highest priority, FIFO within a level.
-    std::map<std::pair<int, std::uint64_t>, std::function<void()>> tasks_;
+    /// highest priority, FIFO within a level.  The key is 64-bit so that
+    /// negating INT_MIN does not overflow.
+    std::map<std::pair<std::int64_t, std::uint64_t>, std::function<void()>>
+        tasks_;
     std::uint64_t task_seq_ = 0;
     std::vector<std::thread> workers_;
     bool stop_ = false;
@@ -136,7 +138,7 @@ thread_pool::ticket thread_pool::submit(int priority,
     t.pool_ = p_;
     {
         std::lock_guard<std::mutex> lk(p_->mu_);
-        t.key_ = std::make_pair(-priority, p_->task_seq_++);
+        t.key_ = std::make_pair(-std::int64_t{priority}, p_->task_seq_++);
         p_->tasks_.emplace(t.key_, std::move(task));
     }
     p_->cv_work_.notify_one();

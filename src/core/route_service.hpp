@@ -108,7 +108,7 @@ class thread_pool final : public task_executor {
       private:
         friend class thread_pool;
         std::weak_ptr<impl> pool_;
-        std::pair<int, std::uint64_t> key_{};
+        std::pair<std::int64_t, std::uint64_t> key_{};
     };
 
     /// Enqueue one independent task.  Higher `priority` is claimed first;

@@ -43,6 +43,7 @@ route_result strategy_separate_stitch(const routing_request& req,
                                             std::move(group_roots),
                                             &res.stats, lease.get());
     finalize_result(inst, std::move(t), root, res);
+    res.resolved_shards = 1;  // the per-group reduces never shard
     return res;
 }
 

@@ -1,5 +1,5 @@
 // Tree bit-identity (DESIGN.md §11).  The engine has one implementation
-// per decision — merge_solver::plan for every merge, the slab ring-walk NN
+// per decision — merge_solver::plan for every merge, the grid ring-walk NN
 // query, the degree-pruned ban probe and the per-cell distance fold-in —
 // so there is no second path to compare against at run time.  Instead:
 //
@@ -491,7 +491,7 @@ TEST(Golden, SoftLedgerGridMatchesLinearScan) {
     const auto ref = route(req);
     ASSERT_TRUE(got.ok()) << got.status_message;
     ASSERT_TRUE(ref.ok()) << ref.status_message;
-    // The grid queries run the slab walk and the per-cell fold-in; the
+    // The grid queries run the ring walk and the per-cell fold-in; the
     // linear scan is the oracle for both.
     EXPECT_EQ(got.wirelength, ref.wirelength);
     EXPECT_EQ(got.stats.merges, ref.stats.merges);

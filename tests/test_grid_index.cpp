@@ -3,6 +3,7 @@
 // deterministic tie-breaks) as the linear verification scan, and the full
 // engine must produce identical trees under either backend.
 
+#include "core/audit.hpp"
 #include "core/engine.hpp"
 #include "core/grid_index.hpp"
 #include "core/nn_index.hpp"
@@ -189,7 +190,8 @@ TEST(GridIndex, EraseReinsertKeepsAnswersConsistent) {
     grid_index grid(&t, roots);
     gen::rng rng(7);
     const auto no_ban = [](std::uint64_t) { return false; };
-    // Random erase / reinsert churn, checking equivalence throughout.
+    // Random erase / reinsert churn, checking equivalence and the grid's
+    // registration invariant throughout.
     std::vector<node_id> in = roots, out;
     for (int step = 0; step < 60; ++step) {
         if (!in.empty() && (out.empty() || rng.below(3) != 0)) {
@@ -206,6 +208,8 @@ TEST(GridIndex, EraseReinsertKeepsAnswersConsistent) {
             grid.insert(id);
             in.push_back(id);
         }
+        ASSERT_EQ(audit::verify_grid_vs_live_set(grid, t), "")
+            << "step " << step;
         ASSERT_EQ(lin.size(), grid.size());
         for (const node_id id : in) {
             const auto l = lin.nearest_if(id, no_ban);
@@ -428,7 +432,8 @@ TEST(GridIndex, FloorMatchesOnLatticeTiesBoundariesAndClampedArcs) {
 TEST(GridIndex, OccupancyAdaptiveRebuildKeepsAnswersExact) {
     // Shrink the active set the way the engine does (erasures dominate);
     // the occupancy-adaptive rebuild must fire as the population collapses
-    // and must never change a nearest-neighbour answer or the slot order.
+    // and must never change a nearest-neighbour answer, the slot order or
+    // the grid's registration invariant.
     const auto inst = seeded_instance(300, 51, true, 6);
     clock_tree t;
     std::vector<node_id> roots;
@@ -437,6 +442,7 @@ TEST(GridIndex, OccupancyAdaptiveRebuildKeepsAnswersExact) {
     nn_index lin(&t, roots);
     grid_index grid(&t, roots);
     EXPECT_EQ(grid.rebuilds(), 0);
+    ASSERT_EQ(audit::verify_grid_vs_live_set(grid, t), "");
 
     gen::rng rng(13);
     const auto no_ban = [](std::uint64_t) { return false; };
@@ -448,6 +454,8 @@ TEST(GridIndex, OccupancyAdaptiveRebuildKeepsAnswersExact) {
         lin.erase(id);
         grid.erase(id);
         in.erase(in.begin() + static_cast<std::ptrdiff_t>(k));
+        ASSERT_EQ(audit::verify_grid_vs_live_set(grid, t), "")
+            << "after erasing " << id;
         const bool just_rebuilt = grid.rebuilds() != last_rebuilds;
         last_rebuilds = grid.rebuilds();
         // Full equivalence sweep right after each rebuild and periodically.

@@ -264,7 +264,7 @@ TEST(Resilience, RungOneRerunOfAnUnshardedRouteIsOk) {
             << what << ": " << res.status_message;
         EXPECT_TRUE(res.status_message.empty()) << what;
         EXPECT_EQ(res.attempts, 2) << what;
-        EXPECT_LE(res.resolved_shards, 1) << what;
+        EXPECT_EQ(res.resolved_shards, 1) << what;
         EXPECT_EQ(res.degradation.rung, degrade_rung::none) << what;
         expect_same_tree(clean, res, what + " rung-1 rerun");
     }
@@ -412,8 +412,16 @@ TEST(Resilience, StallBurnsDeadlineAndSalvages) {
 TEST(Resilience, ResolvedShardsRecorded) {
     const auto inst = small_instance(150, 1, 15, false);
     routing_request req = zst_request(inst);
-    route_result mono = core::route(req);
-    EXPECT_EQ(mono.resolved_shards, 1);
+    // A monolithic route reports 1 under every strategy.
+    for (const strategy_id s :
+         {strategy_id::zst_dme, strategy_id::ext_bst, strategy_id::ast_dme,
+          strategy_id::separate_stitch}) {
+        req.strategy = s;
+        const route_result mono = core::route(req);
+        ASSERT_TRUE(mono.ok()) << to_string(s) << ": " << mono.status_message;
+        EXPECT_EQ(mono.resolved_shards, 1) << to_string(s);
+    }
+    req.strategy = strategy_id::zst_dme;
     req.options.engine.shards = 4;
     route_result sharded = core::route(req);
     EXPECT_EQ(sharded.resolved_shards, 4);

@@ -444,7 +444,8 @@ TEST(RouteService, PriorityOrderIsClaimedFirstBySingleWorker) {
     // A single-worker pool makes claim order observable: hold the worker
     // on the gate, queue a low-priority backlog, then a late
     // high-priority submit — the high one must complete before the
-    // backlog.
+    // backlog.  An INT_MIN submission, queued first, completes last (its
+    // negated priority must not wrap around to the front).
     blocker_gate().reset();
     const auto inst = small_instance(40, 3, 7, true);
 
@@ -469,6 +470,7 @@ TEST(RouteService, PriorityOrderIsClaimedFirstBySingleWorker) {
 
     routing_request r;
     r.instance = &inst;
+    auto hmin = svc.submit(r, tagged("min", std::numeric_limits<int>::min()));
     auto hlow1 = svc.submit(r, tagged("low1", 0));
     auto hlow2 = svc.submit(r, tagged("low2", 0));
     auto hhigh = svc.submit(r, tagged("high", 7));  // late but urgent
@@ -478,9 +480,11 @@ TEST(RouteService, PriorityOrderIsClaimedFirstBySingleWorker) {
     const auto rhigh = hhigh.wait();
     const auto rlow1 = hlow1.wait();
     const auto rlow2 = hlow2.wait();
-    EXPECT_TRUE(rhigh.ok() && rlow1.ok() && rlow2.ok());
+    const auto rmin = hmin.wait();
+    EXPECT_TRUE(rhigh.ok() && rlow1.ok() && rlow2.ok() && rmin.ok());
 
-    const std::vector<std::string> expected{"gate", "high", "low1", "low2"};
+    const std::vector<std::string> expected{"gate", "high", "low1", "low2",
+                                            "min"};
     EXPECT_EQ(order, expected);
     expect_same_route(rhigh, direct_call(r), "priority result");
 }
