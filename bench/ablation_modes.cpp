@@ -1,6 +1,6 @@
 // Ablation C — the consistency study (DESIGN.md §5):
 // how the three AST conflict strategies trade wirelength, snaking and
-// residual violations.
+// residual violations at zero skew, where automatic is the exact ledger.
 //
 // All variants are one route_service batch over context-cached instances.
 
@@ -18,7 +18,7 @@ int main() {
         core::ast_mode mode;
     };
     const variant variants[] = {
-        {"exact ledger", core::ast_mode::exact_ledger},
+        {"auto (exact ledger)", core::ast_mode::automatic},
         {"soft ledger", core::ast_mode::soft_ledger},
         {"windowed (paper)", core::ast_mode::windowed},
     };
@@ -65,7 +65,8 @@ int main() {
     }
     t.print(std::cout);
     std::cout
-        << "\n(Exact ledger: guaranteed zero intra-group skew, stable wire.\n"
+        << "\n(Automatic at zero skew is the exact ledger: guaranteed zero\n"
+           " intra-group skew, stable wire.\n"
            " Windowed: the paper's literal merge cases — per-merge freedom,\n"
            " but frozen-offset conflicts can force residual violations and\n"
            " unpredictable snaking.)\n";

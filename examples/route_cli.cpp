@@ -4,7 +4,7 @@
 // export SVG/JSON.
 //
 //   $ ./route_cli INSTANCE [--algo ast|zst|bst|sep] [--bound PS]
-//                 [--mode auto|windowed|exact|soft] [--threads N]
+//                 [--mode auto|windowed|soft] [--threads N]
 //                 [--deadline MS] [--shards K|auto] [--retries N]
 //                 [--degrade] [--fault-seed S] [--svg OUT.svg]
 //                 [--json OUT.json]
@@ -82,7 +82,7 @@ std::optional<long long> parse_integer(const std::string& v, long long lo,
 int usage(const char* argv0) {
     std::cerr << "usage: " << argv0
               << " INSTANCE [--algo ast|zst|bst|sep] [--bound PS]\n"
-                 "          [--mode auto|windowed|exact|soft]"
+                 "          [--mode auto|windowed|soft]"
                  " [--threads N] [--deadline MS]\n"
                  "          [--shards K|auto] [--retries N] [--degrade]"
                  " [--fault-seed S]\n"
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
     if (argc < 2) return usage(argv[0]);
     std::string path = argv[1];
     std::string algo = "ast";
-    std::string mode = "auto";
+    core::ast_mode mode = core::ast_mode::automatic;
     std::string svg_out, json_out;
     std::optional<double> bound_ps;  // unset: AST 0 ps, EXT-BST 10 ps
     int threads = 0;
@@ -124,9 +124,18 @@ int main(int argc, char** argv) {
         else if (a == "--bound") {
             bound_ps = parse_number(need("--bound"));
             if (!bound_ps) return reject();
-        } else if (a == "--mode")
-            mode = need("--mode");
-        else if (a == "--threads") {
+        } else if (a == "--mode") {
+            // Parsed for every --algo; only AST-DME reads it.
+            const std::string v = need("--mode");
+            if (v == "auto")
+                mode = core::ast_mode::automatic;
+            else if (v == "windowed")
+                mode = core::ast_mode::windowed;
+            else if (v == "soft")
+                mode = core::ast_mode::soft_ledger;
+            else
+                return reject();
+        } else if (a == "--threads") {
             const auto v = parse_integer(need("--threads"), 0, INT_MAX);
             if (!v) return reject();
             threads = static_cast<int>(*v);
@@ -175,6 +184,7 @@ int main(int argc, char** argv) {
     const auto id = core::parse_strategy(algo);
     if (!id.has_value()) return usage(argv[0]);
     req.strategy = *id;
+    req.mode = mode;
     core::skew_spec constraint = core::skew_spec::zero();
     if (req.strategy == core::strategy_id::ext_bst) {
         req.spec = core::skew_spec::uniform(bound_ps.value_or(10.0) * 1e-12);
@@ -182,14 +192,6 @@ int main(int argc, char** argv) {
     } else if (req.strategy == core::strategy_id::ast_dme) {
         req.spec = core::skew_spec::uniform(bound_ps.value_or(0.0) * 1e-12);
         constraint = req.spec;
-        if (mode == "windowed")
-            req.mode = core::ast_mode::windowed;
-        else if (mode == "exact")
-            req.mode = core::ast_mode::exact_ledger;
-        else if (mode == "soft")
-            req.mode = core::ast_mode::soft_ledger;
-        else if (mode != "auto")
-            return usage(argv[0]);
     }
 
     // The fault plan is borrowed by the request's cancel token, so it must
@@ -255,7 +257,7 @@ int main(int argc, char** argv) {
     if (degraded)
         vopt.skew_tolerance = route.stats.worst_violation + 1e-15;
     else if (req.strategy != core::strategy_id::ast_dme ||
-             mode != "windowed")
+             mode != core::ast_mode::windowed)
         vopt.skew_tolerance = 1e-15;
     else
         vopt.skew_tolerance = route.stats.worst_violation + 1e-15;

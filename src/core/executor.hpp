@@ -212,11 +212,17 @@ class cancel_token {
     [[nodiscard]] clock::time_point deadline() const noexcept {
         return deadline_;
     }
-    /// The cancel flag this token watches (non-owning; may be null).  The
-    /// shard salvage path uses it to build a deadline-free grace token
-    /// that still honors an explicit cancel().
-    [[nodiscard]] const std::atomic<bool>* flag() const noexcept {
-        return flag_;
+    /// A copy that still fires on every cancel flag down the chain but on
+    /// no deadline (its own or a chained one) and drives no probe or fault
+    /// plan: the shard salvage path's grace token, which must be allowed
+    /// to finish yet still honors an explicit cancel() of any token.
+    [[nodiscard]] cancel_token flags_only() const noexcept {
+        cancel_token t = *this;
+        t.deadline_ = no_deadline();
+        t.probe_ = nullptr;
+        t.faults_ = nullptr;
+        t.flags_only_ = true;
+        return t;
     }
     void set_probe(cancel_probe* p) noexcept { probe_ = p; }
     [[nodiscard]] cancel_probe* probe() const noexcept { return probe_; }
@@ -247,13 +253,15 @@ class cancel_token {
                                        std::uint64_t index) const;
 
   private:
-    /// Flag/deadline checks down the whole chain — no probes.
-    [[nodiscard]] route_status state() const {
+    /// Flag/deadline checks down the whole chain — no probes; deadlines
+    /// only when `deadlines` is set.
+    [[nodiscard]] route_status state(bool deadlines) const {
         if (flag_ != nullptr && flag_->load(std::memory_order_relaxed))
             return route_status::cancelled;
-        if (deadline_ != no_deadline() && clock::now() >= deadline_)
+        if (deadlines && deadline_ != no_deadline() &&
+            clock::now() >= deadline_)
             return route_status::deadline_exceeded;
-        if (chain_ != nullptr) return chain_->state();
+        if (chain_ != nullptr) return chain_->state(deadlines);
         return route_status::ok;
     }
 
@@ -262,6 +270,7 @@ class cancel_token {
     cancel_probe* probe_ = nullptr;
     fault_plan* faults_ = nullptr;
     const cancel_token* chain_ = nullptr;
+    bool flags_only_ = false;  ///< chained deadlines ignored (flags_only())
 };
 
 class task_executor {

@@ -98,7 +98,7 @@ route_status cancel_token::poll_at(fault_site site,
         ++probe_->polls;
         if (probe_->on_poll) probe_->on_poll(probe_->polls);
     }
-    route_status rs = state();
+    route_status rs = state(!flags_only_);
     if (rs != route_status::ok || faults_ == nullptr) return rs;
     switch (faults_->fire(site, index)) {
         case fault_kind::none:
@@ -117,7 +117,7 @@ route_status cancel_token::poll_at(fault_site site,
                 std::this_thread::sleep_until(deadline_);
             else
                 std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            rs = state();
+            rs = state(!flags_only_);
             break;
     }
     return rs;

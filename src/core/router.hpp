@@ -16,9 +16,10 @@
 ///                            zero-skew tree per group, stitched together
 ///                            afterwards (the strawman of Fig. 2).
 ///
-/// All four are thin wrappers over the routing-service layer (strategy.hpp:
-/// `routing_request` → `route()`, which switches on the strategy id);
-/// batch execution and state sharing live in route_service.hpp /
+/// All four are one-line wrappers over the routing-service layer
+/// (strategy.hpp: `routing_request` → `route()`, where ZST-DME, EXT-BST
+/// and AST-DME differ only in the merge constraints they hand one engine
+/// run); batch execution and state sharing live in route_service.hpp /
 /// route_context.hpp (DESIGN.md §6-§7).
 
 #include "core/embedder.hpp"
@@ -113,17 +114,15 @@ struct route_result {
 ///    follow the globally consistent offset when it is free and drift only
 ///    in lieu of snake wire, which concentrates (and mostly eliminates)
 ///    conflicts.
-///  * `exact_ledger` — globally consistent inter-group offsets throughout:
-///    zero intra-group skew guaranteed, conflicts impossible, but free
-///    offsets commit early (conservative wirelength).
-///  * `automatic` — one run: `exact_ledger` when every bound is zero,
-///    `soft_ledger` otherwise (the exact ledger needs degenerate delay
-///    intervals).  There is no rerun.
+///  * `automatic` — one run: the exact offset ledger
+///    (`consistency_mode::exact`: globally consistent inter-group offsets
+///    throughout, zero intra-group skew guaranteed, conflicts impossible)
+///    when every bound is zero, `soft_ledger` otherwise (the exact ledger
+///    needs degenerate delay intervals).  There is no rerun.
 enum class ast_mode {
     automatic,
     windowed,
     soft_ledger,
-    exact_ledger,
 };
 
 struct router_options {
@@ -150,8 +149,8 @@ route_result route_ext_bst(const topo::instance& inst, double global_bound,
                            const router_options& opt = {});
 
 /// AST-DME with per-group bounds (default: zero intra-group skew).
-/// `mode` selects the conflict strategy; `exact_ledger` requires an
-/// all-zero spec and falls back to `soft_ledger` otherwise.
+/// `mode` selects the conflict strategy; the default `automatic` routes
+/// an all-zero spec with the exact offset ledger.
 route_result route_ast_dme(const topo::instance& inst,
                            const skew_spec& spec = skew_spec::zero(),
                            const router_options& opt = {},

@@ -167,7 +167,6 @@ route_result sharded_route(const topo::instance& inst,
     // stay live at every shard's checkpoints.
     engine_options sopt = opt;
     sopt.executor = nullptr;
-    sopt.shards = 1;
     // Inner shard tokens never carry the fault plan: selection/round
     // checkpoint indexes are per-run, so concurrent shards would race for
     // the same scheduled events.  Shard-level faults fire at the per-shard
@@ -241,13 +240,14 @@ route_result sharded_route(const topo::instance& inst,
     // Partial-result salvage (DESIGN.md §10): instead of discarding the
     // completed shard sub-trees on an interrupt, keep them, rebuild the
     // unfinished shards with a cheap greedy configuration under a *grace*
-    // token (explicit cancel still honored; the fired deadline and the
-    // fault plan are dropped — salvage must be allowed to finish), and
-    // stitch as usual.  Only non-retryable stops salvage: an explicit
-    // cancel always discards (the caller asked for the work to stop, not
-    // for a cheaper answer), and a transient fault propagates so the
-    // service's retry policy can recover it at *full* fidelity — stepping
-    // down is the last resort, not the first response.
+    // token (every cancel flag down the chain still honored, the caller's
+    // own included; deadlines, probe and fault plan are dropped — salvage
+    // must be allowed to finish), and stitch as usual.  Only non-retryable
+    // stops salvage: an explicit cancel always discards (the caller asked
+    // for the work to stop, not for a cheaper answer), and a transient
+    // fault propagates so the service's retry policy can recover it at
+    // *full* fidelity — stepping down is the last resort, not the first
+    // response.
     int salvaged = 0;
     int greedy = 0;
     engine_options stitch_opt = opt;
@@ -256,11 +256,9 @@ route_result sharded_route(const topo::instance& inst,
                                  stop == route_status::data_fault;
         if (!opt.salvage || !salvageable)
             throw route_interrupt(stop, total);
-        const cancel_token grace(opt.cancel.flag(),
-                                 cancel_token::no_deadline());
+        const cancel_token grace = opt.cancel.flags_only();
         engine_options gopt = opt;
         gopt.executor = nullptr;
-        gopt.shards = 1;
         gopt.true_cost_ordering = false;  // pure arc-distance: cheapest order
         gopt.cancel = grace;
         const bottom_up_engine rescue(solver, gopt);

@@ -88,8 +88,9 @@ using shard_partition = std::vector<std::vector<std::int32_t>>;
 /// schedule); inner shard tokens never carry the fault plan.  With
 /// `opt.salvage` set, a non-retryable interrupt (deadline_exceeded or
 /// data_fault) keeps the completed shard sub-trees, greedily completes
-/// the unfinished shards under a grace token (cancel flag honored,
-/// deadline and faults dropped), stitches, and returns the tree tagged
+/// the unfinished shards under a grace token (`cancel_token::flags_only`:
+/// every cancel flag down the chain honored, deadlines and faults
+/// dropped), stitches, and returns the tree tagged
 /// route_status::degraded with a `salvaged` degradation_report; an
 /// explicit cancel always discards, and a transient fault propagates so
 /// the service's retry policy can recover it at full fidelity.

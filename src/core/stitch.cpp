@@ -6,9 +6,7 @@ topo::node_id stitch_roots(const merge_solver& solver,
                            const engine_options& opt, topo::clock_tree& t,
                            std::vector<topo::node_id> roots,
                            engine_stats* stats, engine_scratch* scratch) {
-    engine_options sopt = opt;
-    sopt.shards = 1;  // a stitch is one front regardless of the shard knob
-    const bottom_up_engine engine(solver, sopt);
+    const bottom_up_engine engine(solver, opt);
     return engine.reduce(t, std::move(roots), stats, scratch);
 }
 

@@ -9,7 +9,7 @@
 /// an ordinary engine merge whose windows account for the skews frozen
 /// inside the operands.  Two callers share this entry point:
 ///
-///  * the legacy separate-stitch strategy (separate_stitch.cpp), which
+///  * the legacy separate-stitch strategy (strategy.cpp), which
 ///    builds one zero-skew tree per *group* and stitches the group roots
 ///    (the prior work's construction, Fig. 2's strawman);
 ///  * the sharded reduction (shard.hpp, DESIGN.md §4), which sub-reduces
@@ -25,7 +25,7 @@ namespace astclk::core {
 /// both stitch callers go through, so the phase-2 contract (stats
 /// accumulate into `*stats`, scratch is optional, the engine options'
 /// executor/cancel apply to the stitch) is implemented exactly once.
-/// `opt.shards` is ignored here: a stitch is always one front.
+/// A stitch is always one front: the engine never reads `opt.shards`.
 topo::node_id stitch_roots(const merge_solver& solver,
                            const engine_options& opt, topo::clock_tree& t,
                            std::vector<topo::node_id> roots,

@@ -17,10 +17,12 @@
 /// on the strategy id, runs it against a `routing_context` (instance
 /// cache, engine scratch), and uniformly records wall-clock and thread
 /// usage in the result — direct calls and batched service calls report
-/// timing the same way.  The legacy free functions in router.hpp are thin
-/// wrappers over this interface, so existing call sites stay
-/// source-compatible.  `to_string` and `parse_strategy` map ids to names
-/// and back over one constant table.
+/// timing the same way.  ZST-DME, EXT-BST and AST-DME share one body that
+/// maps the request to the solver's spec, consistency mode and leaf
+/// collapse; separate-stitch has its own.  The legacy free functions in
+/// router.hpp are one-line wrappers over this interface, so existing call
+/// sites stay source-compatible.  `to_string` and `parse_strategy` map
+/// ids to names and back over one constant table.
 
 #include "core/router.hpp"
 

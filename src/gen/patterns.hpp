@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file patterns.hpp
-/// Hand-shaped pathological instances used by the figure benches and the
-/// adversarial tests:
+/// Hand-shaped pathological instances used only by the tests
+/// (test_patterns_matrix, test_embedder_engine):
 ///
 ///  * **alternating comb** — two groups interleaved along a line (Fig. 2's
 ///    worst case for separate construction);

@@ -1,6 +1,6 @@
 # route_cli flag parsing end to end: every --algo spelling routes and
-# verifies, a malformed value exits 2, and README's fault drill recovers
-# on its second attempt.
+# verifies, a malformed value exits 2 (--mode under every --algo), and
+# README's fault drill recovers on its second attempt.
 #
 #   cmake -DROUTE_CLI=path/to/route_cli -DINSTANCE=clustered_r1.inst \
 #         -P tests/route_cli_args.cmake
@@ -19,7 +19,8 @@ foreach(algo ast zst bst sep ast_dme zst_dme ext_bst separate_stitch)
 endforeach()
 
 foreach(args IN ITEMS "--algo;nonesuch" "--threads;x" "--deadline;5x"
-                      "--fault-seed;x")
+                      "--fault-seed;x" "--algo;zst;--mode;nonesuch"
+                      "--mode;exact")
   execute_process(
     COMMAND ${ROUTE_CLI} ${INSTANCE} ${args}
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)

@@ -18,14 +18,13 @@ namespace {
 
 using namespace core;
 
-enum class algo { zst, ext_bst, ast_auto, ast_exact, ast_windowed, separate };
+enum class algo { zst, ext_bst, ast_auto, ast_windowed, separate };
 
 const char* algo_name(algo a) {
     switch (a) {
         case algo::zst: return "zst";
         case algo::ext_bst: return "ext_bst";
         case algo::ast_auto: return "ast_auto";
-        case algo::ast_exact: return "ast_exact";
         case algo::ast_windowed: return "ast_windowed";
         case algo::separate: return "separate";
     }
@@ -66,10 +65,6 @@ TEST_P(RouteProperty, ConstraintsAndBookkeepingHold) {
             break;
         case algo::ast_auto:
             r = route_ast_dme(inst, skew_spec::zero(), opt);
-            break;
-        case algo::ast_exact:
-            r = route_ast_dme(inst, skew_spec::zero(), opt,
-                              ast_mode::exact_ledger);
             break;
         case algo::ast_windowed:
             r = route_ast_dme(inst, skew_spec::zero(), opt,
@@ -122,8 +117,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Bool(),
                        ::testing::Values(1, 2),
                        ::testing::Values(algo::zst, algo::ext_bst,
-                                         algo::ast_auto, algo::ast_exact,
-                                         algo::ast_windowed,
+                                         algo::ast_auto, algo::ast_windowed,
                                          algo::separate)),
     route_param_name);
 

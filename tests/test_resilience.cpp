@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <string>
@@ -407,6 +408,36 @@ TEST(Resilience, StallBurnsDeadlineAndSalvages) {
     EXPECT_EQ(res.degradation.greedy_shards, 1);
     EXPECT_TRUE(res.degradation.verified);
     expect_verified(res, inst, req.spec, "stall salvage");
+}
+
+TEST(Resilience, SalvageHonorsTheRequestsOwnCancelFlag) {
+    // A served request's own token hangs off the handle token's chain.
+    // Its flag, set while the handle's deadline runs out, must stop the
+    // salvage too: the grace token keeps every flag of the chain.
+    auto inst = gen::generate(gen::paper_spec("r1"));
+    gen::apply_intermingled_groups(inst, 4, 1);
+    routing_request req = zst_request(inst);
+    req.options.engine.shards = 4;
+    std::atomic<bool> caller_flag{false};
+    cancel_probe probe;
+    probe.on_poll = [&](std::uint64_t n) {
+        if (n != 2) return;  // poll 1 is the dispatch pre-check
+        std::this_thread::sleep_for(std::chrono::milliseconds(300));
+        caller_flag.store(true);
+    };
+    req.options.engine.cancel =
+        cancel_token(&caller_flag, cancel_token::no_deadline());
+    req.options.engine.cancel.set_probe(&probe);
+    service_options sopt;
+    sopt.threads = 1;
+    route_service svc(sopt);
+    submit_options sub;
+    sub.degrade = true;
+    sub.deadline =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(100);
+    const route_result res = svc.submit(req, sub).wait();
+    EXPECT_EQ(res.status, route_status::cancelled) << res.status_message;
+    EXPECT_EQ(res.tree.size(), 0u);
 }
 
 TEST(Resilience, ResolvedShardsRecorded) {

@@ -85,11 +85,13 @@ TEST(Routers, AstBookkeepingMatchesEvaluator) {
     EXPECT_LT(vr.worst_embed_excess, 1e-5);
 }
 
-TEST(Routers, AstExactLedgerNeverForcesViolations) {
+TEST(Routers, AstAutomaticZeroSkewNeverForcesViolations) {
+    // Automatic routes an all-zero spec with the exact offset ledger, so
+    // no merge is ever forced.
     for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
         const auto inst = small_instance(90, 6, seed, true);
         const auto r =
-            route_ast_dme(inst, skew_spec::zero(), {}, ast_mode::exact_ledger);
+            route_ast_dme(inst, skew_spec::zero(), {}, ast_mode::automatic);
         EXPECT_EQ(r.stats.forced_merges, 0) << "seed " << seed;
         EXPECT_DOUBLE_EQ(r.stats.worst_violation, 0.0);
     }
@@ -104,6 +106,44 @@ TEST(Routers, AstBoundedSpecKeepsGroupsWithinBound) {
     for (topo::group_id g = 0; g < inst.num_groups; ++g)
         EXPECT_LE(rc::to_ps(ev.group_skew[static_cast<std::size_t>(g)]),
                   20.0 + 0.01);
+}
+
+/// Bitwise tree comparison: wirelength, then every node's children, arc
+/// and electrical edge lengths.
+void expect_same_tree(const route_result& a, const route_result& b,
+                      const std::string& what) {
+    ASSERT_TRUE(a.ok() && b.ok()) << what;
+    EXPECT_EQ(a.wirelength, b.wirelength) << what;
+    ASSERT_EQ(a.tree.size(), b.tree.size()) << what;
+    for (std::size_t i = 0; i < a.tree.size(); ++i) {
+        const auto& an = a.tree.node(static_cast<topo::node_id>(i));
+        const auto& bn = b.tree.node(static_cast<topo::node_id>(i));
+        ASSERT_TRUE(an.left == bn.left && an.right == bn.right &&
+                    an.arc == bn.arc && an.edge_left == bn.edge_left &&
+                    an.edge_right == bn.edge_right)
+            << what << " node " << i;
+    }
+}
+
+TEST(Routers, ConfigurationTableRowsThatShareARoute) {
+    // Pins two rows of the strategy configuration (strategy.cpp): automatic
+    // on a bounded spec is the soft ledger, and EXT-BST at a zero global
+    // bound is ZST-DME (both collapse the groups into one at zero skew).
+    const skew_spec b5 = skew_spec::uniform(5e-12);
+    for (const char* name : {"r1", "r3", "r5"}) {
+        for (const int k : {4, 10}) {
+            auto inst = gen::generate(gen::paper_spec(name));
+            gen::apply_intermingled_groups(inst, k, 1);
+            const std::string at =
+                std::string(name) + " k=" + std::to_string(k);
+            expect_same_tree(
+                route_ast_dme(inst, b5, {}, ast_mode::automatic),
+                route_ast_dme(inst, b5, {}, ast_mode::soft_ledger),
+                at + ": automatic vs soft ledger at 5 ps");
+            expect_same_tree(route_zst_dme(inst), route_ext_bst(inst, 0.0),
+                             at + ": ZST-DME vs EXT-BST at 0 ps");
+        }
+    }
 }
 
 TEST(Routers, SeparateStitchSatisfiesConstraintsButCostsMore) {
@@ -162,8 +202,7 @@ TEST(Routers, InvalidInstanceIsRejectedBeforeTheEngine) {
          {strategy_id::ast_dme, strategy_id::zst_dme, strategy_id::ext_bst,
           strategy_id::separate_stitch}) {
         for (const ast_mode m : {ast_mode::automatic, ast_mode::windowed,
-                                 ast_mode::soft_ledger,
-                                 ast_mode::exact_ledger}) {
+                                 ast_mode::soft_ledger}) {
             routing_request req;
             req.instance = &inst;
             req.strategy = s;

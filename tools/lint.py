@@ -8,9 +8,10 @@ know about, as a ctest target (label `lint`):
                      engine_stats::accumulate() — a counter that dodges the
                      fold silently under-reports shard/service accounting.
   R2 poll-at-only    cancellation checkpoints in src/core go through
-                     cancel_token::poll_at(site, index); bare poll() calls
-                     (outside executor.hpp, which defines both) bypass the
-                     deterministic fault-site machinery.
+                     cancel_token::poll_at(site, index); a bare poll()
+                     call (executor.hpp, which declares the token, is
+                     exempt) would bypass the deterministic fault-site
+                     machinery.
   R3 determinism     no nondeterminism sources in src/core: rand/srand,
                      random_device, mt19937, system_clock, std::time, raw
                      clock().  steady_clock is allowed (deadlines measure
