@@ -53,6 +53,19 @@ std::string verify_tree_structure(const topo::clock_tree& t,
                 << n.subtree_cap;
             return err.str();
         }
+        const auto child_ok = [&t](topo::node_id c) {
+            return c >= 0 && static_cast<std::size_t>(c) < t.size();
+        };
+        bool disjoint = false;
+        if (!n.is_leaf() && child_ok(n.left) && child_ok(n.right))
+            disjoint = t.node(n.left).delays.disjoint_from(
+                t.node(n.right).delays);
+        if (n.disjoint_children != disjoint) {
+            err << "node " << i << " flags its children as "
+                << (n.disjoint_children ? "disjoint" : "sharing a group")
+                << " but they " << (disjoint ? "are disjoint" : "are not");
+            return err.str();
+        }
     }
     return {};
 }
@@ -152,6 +165,36 @@ std::string verify_nn_records(const topo::clock_tree& t,
             err << want << " at " << want_d;
         else
             err << "none";
+        return err.str();
+    }
+    return {};
+}
+
+std::string verify_ban_degrees(const std::vector<topo::node_id>& active,
+                               const std::unordered_set<std::uint64_t>& banned,
+                               const std::vector<std::uint32_t>& live_deg) {
+    std::size_t ids = 0;
+    for (const topo::node_id i : active)
+        ids = std::max(ids, static_cast<std::size_t>(i) + 1);
+    std::vector<char> is_active(ids, 0);
+    for (const topo::node_id i : active)
+        is_active[static_cast<std::size_t>(i)] = 1;
+    std::vector<std::uint32_t> want(ids, 0);
+    for (const std::uint64_t k : banned) {
+        const auto hi = static_cast<std::size_t>(k >> 32);
+        const auto lo = static_cast<std::size_t>(k & 0xffffffffu);
+        if (hi < ids && lo < ids && is_active[hi] != 0 && is_active[lo] != 0) {
+            ++want[hi];
+            ++want[lo];
+        }
+    }
+    for (const topo::node_id i : active) {
+        const auto si = static_cast<std::size_t>(i);
+        const std::uint32_t have = si < live_deg.size() ? live_deg[si] : 0;
+        if (have == want[si]) continue;
+        std::ostringstream err;
+        err << "root " << i << " carries live ban degree " << have
+            << " but is banned with " << want[si] << " active roots";
         return err.str();
     }
     return {};

@@ -71,8 +71,10 @@ void checkpoint(const char* site, const std::string& diagnostic);
 /// to clock_tree::check_structure (parent/child symmetry, single root,
 /// every sink exactly once — the root must be set), then audits what that
 /// check does not cover: non-negative electrical edge lengths and
-/// downstream capacitances, and leaf/internal shape consistency (leaves
-/// childless, internal nodes with both children).
+/// downstream capacitances, leaf/internal shape consistency (leaves
+/// childless, internal nodes with both children), and every node's
+/// `disjoint_children` flag (set exactly when the node's two children
+/// share no group; never on a leaf).
 [[nodiscard]] std::string verify_tree_structure(const topo::clock_tree& t,
                                                 std::size_t num_sinks);
 
@@ -168,6 +170,14 @@ template <class SelHeap, class RadHeap>
     const std::vector<topo::node_id>& nn_to,
     const std::vector<double>& nn_dist,
     const std::unordered_set<std::uint64_t>& banned);
+
+/// Every active root's live ban degree against a recount from the ban
+/// set: live_deg[i] (zero beyond the vector) must equal the number of
+/// banned pairs (i, j) with j active.  O(bans + active).
+[[nodiscard]] std::string verify_ban_degrees(
+    const std::vector<topo::node_id>& active,
+    const std::unordered_set<std::uint64_t>& banned,
+    const std::vector<std::uint32_t>& live_deg);
 
 /// Scratch-lease bookkeeping of a *quiesced* routing_context: every
 /// engine_scratch ever allocated must be back in the pool once no request

@@ -44,13 +44,27 @@ struct engine_scratch::impl {
         }
     };
 
-    std::unordered_set<std::uint64_t> banned;
-    /// id -> number of banned pairs the id participates in.  A pair can be
-    /// banned only if *both* endpoints have nonzero degree, so the NN hot
-    /// loops answer almost every ban probe with two array loads instead of
-    /// a hash walk (bans are rare: one per rejected pair).  Grown lazily by
-    /// ban_pair(); ids beyond the vector have degree zero by construction.
-    std::vector<std::uint32_t> ban_deg;
+    /// One banned pair's edge in the flat ban list: `next[k]` continues
+    /// the list of endpoint `end[k]`.
+    struct ban_edge {
+        topo::node_id end[2];
+        std::uint32_t next[2];
+    };
+    static constexpr std::uint32_t kno_edge = UINT32_MAX;
+
+    std::unordered_set<std::uint64_t> banned;  ///< the one ban probe
+    /// Every banned pair once, threaded through both endpoints' lists
+    /// (`ban_head[id]` is the newest edge at id).  Walked only when a root
+    /// retires (retire_bans), never to answer a probe.
+    std::vector<ban_edge> ban_edges;
+    std::vector<std::uint32_t> ban_head;
+    /// id -> banned pairs of id whose partner is still active.  A pair of
+    /// active roots is banned only if *both* endpoints' live degrees are
+    /// nonzero, so the NN hot loops answer almost every ban probe with two
+    /// array loads instead of a hash walk; a root whose partners have all
+    /// merged away is back to zero.  Grown lazily with ban_head by
+    /// ban_pair(); ids beyond it have degree zero.
+    std::vector<std::uint32_t> live_deg;
     pair_cost_cache cost_cache;
     std::vector<topo::node_id> nn_to;  ///< id -> current NN (knull: none)
     std::vector<double> nn_dist;       ///< id -> distance to nn_to
@@ -70,10 +84,16 @@ struct engine_scratch::impl {
     // use, so reuse only spares the per-call allocation.
     std::vector<topo::node_id> affected;
 
+    void clear_bans() {
+        banned.clear();
+        ban_edges.clear();
+        ban_head.clear();
+        live_deg.clear();
+    }
+
     /// Reinitialise for a run over a tree that currently has `ids` nodes.
     void reset(std::size_t ids) {
-        banned.clear();
-        ban_deg.clear();
+        clear_bans();
         cost_cache.clear();
         starved.clear();
         heap.clear();
@@ -98,11 +118,12 @@ using sel_entry = engine_scratch::impl::sel_entry;
 
 /// Inlined ban predicate (no std::function on the hot path): the packed
 /// pair key carries both endpoint ids (pair_key, nn_index.hpp), so the
-/// degree table short-circuits the hash walk whenever either endpoint has
-/// never been part of a ban — the overwhelmingly common case, since bans
-/// accrue one rejected pair at a time while the NN loops probe every
-/// candidate pair they scan.  Exact: a pair is in `bans` only if both
-/// endpoints' degrees are nonzero (ban_pair bumps both).
+/// live degree table short-circuits the hash walk whenever either endpoint
+/// has no ban with an active root — the common case, since bans accrue
+/// one rejected pair at a time while the NN loops probe every candidate
+/// pair they scan.  Exact for the pairs of active roots the queries
+/// probe: such a pair is in `bans` only if it counts in both endpoints'
+/// live degrees.
 struct ban_table_fast {
     const std::unordered_set<std::uint64_t>* bans;
     const std::vector<std::uint32_t>* deg;
@@ -116,32 +137,80 @@ struct ban_table_fast {
     }
 };
 
-/// Record a banned pair: the hash set answers exact probes, the degree
-/// table powers ban_table_fast's short-circuit.  The degree vector grows
-/// lazily to the larger endpoint (merged roots mint fresh ids mid-run).
+[[nodiscard]] std::size_t live_degree(const engine_scratch::impl& s,
+                                      topo::node_id i) {
+    const auto si = static_cast<std::size_t>(i);
+    return si < s.live_deg.size() ? s.live_deg[si] : 0;
+}
+
+/// Ban the pair of active roots (a, b): the hash set answers exact probes,
+/// the edge list and live degrees power the short-circuits.  A pair is
+/// recorded once, so the degrees count distinct partners.  The per-id
+/// vectors grow lazily to the larger endpoint (merged roots mint fresh
+/// ids mid-run).
 void ban_pair(engine_scratch::impl& s, topo::node_id a, topo::node_id b) {
-    s.banned.insert(pair_key(a, b));
-    const auto need = static_cast<std::size_t>(std::max(a, b)) + 1;
-    if (s.ban_deg.size() < need) s.ban_deg.resize(need, 0);
-    ++s.ban_deg[static_cast<std::size_t>(a)];
-    ++s.ban_deg[static_cast<std::size_t>(b)];
+    if (!s.banned.insert(pair_key(a, b)).second) return;
+    const auto sa = static_cast<std::size_t>(a);
+    const auto sb = static_cast<std::size_t>(b);
+    const std::size_t need = std::max(sa, sb) + 1;
+    if (s.live_deg.size() < need) {
+        s.live_deg.resize(need, 0);
+        s.ban_head.resize(need, engine_scratch::impl::kno_edge);
+    }
+    const auto e = static_cast<std::uint32_t>(s.ban_edges.size());
+    s.ban_edges.push_back({{a, b}, {s.ban_head[sa], s.ban_head[sb]}});
+    s.ban_head[sa] = s.ban_head[sb] = e;
+    ++s.live_deg[sa];
+    ++s.live_deg[sb];
+}
+
+/// Root `i`, already erased from `idx`, merged away: each active partner
+/// of a ban with `i` loses one live degree.  Over a run every edge is
+/// walked at most once per endpoint.  Both merge orders call this for
+/// every root they erase.
+template <class Index>
+void retire_bans(engine_scratch::impl& s, const Index& idx, topo::node_id i) {
+    const auto si = static_cast<std::size_t>(i);
+    if (si >= s.ban_head.size()) return;
+    for (std::uint32_t e = s.ban_head[si];
+         e != engine_scratch::impl::kno_edge;) {
+        const engine_scratch::impl::ban_edge& be = s.ban_edges[e];
+        const int k = be.end[0] == i ? 0 : 1;
+        const topo::node_id p = be.end[1 - k];
+        if (idx.slot_of(p) >= 0) --s.live_deg[static_cast<std::size_t>(p)];
+        e = be.next[k];
+    }
 }
 
 /// Nearest unbanned partner of `i` — the one NN query of both merge
-/// orders.  A pair can be banned only if *both* endpoints have nonzero ban
-/// degree, so a centre that takes part in no ban runs with the fully
-/// inlined no_bans predicate and skips every per-candidate probe; a
-/// centre that does carry bans gets the degree-pruned probe.  Almost every
-/// query qualifies for the former.  Reads the ban state only, so
-/// concurrent queries between commits are safe.
+/// orders, and the one place that picks how to answer it, by i's live
+/// ban degree:
+///  * zero: no candidate can be banned, so the query runs with the fully
+///    inlined no_bans predicate and skips every probe — almost every
+///    query qualifies;
+///  * active - 1: every other active root is a banned partner, so there
+///    is none, answered without a query;
+///  * at least half the active set (grid backend): one pass over the
+///    active set (grid_index::nearest_scan_if), since the ring walk
+///    would visit most roots anyway and meet a multi-cell arc once per
+///    cell;
+///  * otherwise the ring walk with the degree-pruned probe.
+/// Every branch returns the same answer.  `i` must be active.  Reads the
+/// ban state only, so concurrent queries between commits are safe.
 template <class Index>
 std::optional<std::pair<topo::node_id, double>> nearest_unbanned(
     const Index& idx, const engine_scratch::impl& s, topo::node_id i,
     nn_floor floor = {}) {
-    const auto si = static_cast<std::size_t>(i);
-    if (si >= s.ban_deg.size() || s.ban_deg[si] == 0)
-        return idx.nearest_if(i, no_bans{}, floor);
-    return idx.nearest_if(i, ban_table_fast{&s.banned, &s.ban_deg}, floor);
+    assert(idx.slot_of(i) >= 0);
+    const std::size_t deg = live_degree(s, i);
+    if (deg == 0) return idx.nearest_if(i, no_bans{}, floor);
+    if (deg + 1 == idx.size()) return std::nullopt;
+    const ban_table_fast banned{&s.banned, &s.live_deg};
+    if constexpr (std::is_same_v<Index, grid_index>) {
+        if (2 * deg >= idx.size())
+            return idx.nearest_scan_if(i, banned, floor);
+    }
+    return idx.nearest_if(i, banned, floor);
 }
 
 void note_plan(const merge_plan& p, double dist, engine_stats& st) {
@@ -264,9 +333,11 @@ class nearest_reducer {
     /// position maps, one selection and one radius entry per record, each
     /// naming the record's partner and distance, and the stats books
     /// internally consistent — and every 64th step (and the first) the
-    /// full grid-vs-live-set cross-check and a linear-scan check that every
+    /// full grid-vs-live-set cross-check, a linear-scan check that every
     /// record is its root's nearest unbanned partner, the invariant the
-    /// rejection floors rely on.
+    /// rejection floors rely on, and a recount of every active root's live
+    /// ban degree from the ban set, which the probe short-circuit and the
+    /// starvation answer rely on.
     void audit_checkpoint(std::uint64_t step) {
         audit::checkpoint("selection/heap",
                           audit::verify_heap_invariant(s_.heap));
@@ -284,6 +355,9 @@ class nearest_reducer {
         audit::checkpoint("selection/nn",
                           audit::verify_nn_records(t_, idx_.active(), s_.nn_to,
                                                    s_.nn_dist, s_.banned));
+        audit::checkpoint("selection/bans",
+                          audit::verify_ban_degrees(idx_.active(), s_.banned,
+                                                    s_.live_deg));
     }
 #endif
 
@@ -377,6 +451,7 @@ class nearest_reducer {
 
     void erase_node(topo::node_id i) {
         idx_.erase(i);
+        retire_bans(s_, idx_, i);
         const auto si = static_cast<std::size_t>(i);
         const topo::node_id old = s_.nn_to[si];
         if (old != topo::knull_node) {
@@ -481,8 +556,7 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
                                 const std::vector<topo::node_id>& roots,
                                 engine_stats& st, engine_scratch::impl& s) {
     Index idx(&t, roots);
-    s.banned.clear();
-    s.ban_deg.clear();
+    s.clear_bans();
     task_executor* exec = opt.executor;
     // Pre-solving a round's plans before any of its commits is exact for
     // ledger-free solvers whether or not an executor is present: the
@@ -512,8 +586,12 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
         }
 #ifdef ASTCLK_AUDIT
         // Round checkpoint: the multi-merge path keeps no selection heap,
-        // so the books are the auditable state here.
+        // so the books and the live ban degrees are the auditable state
+        // here.
         audit::checkpoint("round/stats", audit::verify_stats_books(st));
+        audit::checkpoint("round/bans",
+                          audit::verify_ban_degrees(idx.active(), s.banned,
+                                                    s.live_deg));
 #endif
         ++st.rounds;
         // Fresh nearest neighbours each round, slot-indexed so the fan-out
@@ -567,6 +645,8 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
             note_plan(*plan, cd.d, st);
             idx.erase(cd.a);
             idx.erase(cd.b);
+            retire_bans(s, idx, cd.a);
+            retire_bans(s, idx, cd.b);
             idx.insert(c);
             merged_any = true;
         }
@@ -581,6 +661,8 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
         note_plan(p, bd, st);
         idx.erase(ba);
         idx.erase(bb);
+        retire_bans(s, idx, ba);
+        retire_bans(s, idx, bb);
         idx.insert(c);
     }
     return idx.active().front();

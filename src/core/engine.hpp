@@ -21,8 +21,14 @@
 ///     arc boxes (grid_index; ring expansion with the arc-distance lower
 ///     bound, reading each candidate's arc from the tree), with the
 ///     exact linear scan (nn_index) selectable as a verification backend
-///     via `engine_options::backend`; a root that takes part in no banned
-///     pair queries with no ban probe at all;
+///     via `engine_options::backend`;
+///   * every root carries a live ban degree — its banned pairs whose
+///     partner is still active, kept exact by walking a flat ban-edge
+///     list once when a root merges away — and one function picks each
+///     query's form from it: no ban probe at all at degree zero, "no
+///     partner" without a query when every other active root is banned,
+///     one pass over the active set when the bans cover at least half of
+///     it, and the ring walk with the degree-pruned hash probe otherwise;
 ///   * every selected pair is solved by `merge_solver::plan`, the one
 ///     merge-plan solver;
 ///   * every root with a partner keeps one nearest-neighbour record (its

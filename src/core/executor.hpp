@@ -254,14 +254,19 @@ class cancel_token {
 
   private:
     /// Flag/deadline checks down the whole chain — no probes; deadlines
-    /// only when `deadlines` is set.
+    /// only when `deadlines` is set.  Every flag of the chain is read
+    /// before any deadline, so a set flag anywhere beats a fired deadline
+    /// anywhere (a served request's caller token hangs off the handle
+    /// token, whose deadline may have fired first).
     [[nodiscard]] route_status state(bool deadlines) const {
-        if (flag_ != nullptr && flag_->load(std::memory_order_relaxed))
-            return route_status::cancelled;
-        if (deadlines && deadline_ != no_deadline() &&
-            clock::now() >= deadline_)
-            return route_status::deadline_exceeded;
-        if (chain_ != nullptr) return chain_->state(deadlines);
+        for (const cancel_token* t = this; t != nullptr; t = t->chain_)
+            if (t->flag_ != nullptr &&
+                t->flag_->load(std::memory_order_relaxed))
+                return route_status::cancelled;
+        if (!deadlines) return route_status::ok;
+        for (const cancel_token* t = this; t != nullptr; t = t->chain_)
+            if (t->deadline_ != no_deadline() && clock::now() >= t->deadline_)
+                return route_status::deadline_exceeded;
         return route_status::ok;
     }
 

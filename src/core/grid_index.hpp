@@ -150,16 +150,33 @@ class grid_index {
             visit_ring_cells(qr, r, [&](std::size_t c) {
                 for (const topo::node_id other : cells_[c]) {
                     if (other == id) continue;
-                    const double d = arc_gap(tree_->node(other).arc, q);
-                    if (d < best_d || (d == best_d && other < best)) {
-                        if (!floor.admits(d, other) ||
-                            banned(pair_key(id, other)))
-                            continue;
-                        best_d = d;
-                        best = other;
-                    }
+                    fold(id, other, arc_gap(tree_->node(other).arc, q), banned,
+                         floor, best, best_d);
                 }
             });
+        }
+        if (best == topo::knull_node) return std::nullopt;
+        return std::make_pair(best, best_d);
+    }
+
+    /// `nearest_if`'s answer from one pass over the active set instead of
+    /// the ring walk: the same candidates, `arc_gap` distances, floor and
+    /// ban checks and the same (distance, id) fold, so the two are
+    /// bit-identical.  Cheaper when bans exclude much of the active set,
+    /// because the walk would then visit most cells and meet a multi-cell
+    /// arc once per cell.  The engine picks between the two
+    /// (`nearest_unbanned`, engine.cpp).
+    template <class Banned>
+    [[nodiscard]] std::optional<std::pair<topo::node_id, double>>
+    nearest_scan_if(topo::node_id id, Banned banned,
+                    nn_floor floor = {}) const {
+        const geom::tilted_rect q = tree_->node(id).arc;  // as in nearest_if
+        topo::node_id best = topo::knull_node;
+        double best_d = std::numeric_limits<double>::infinity();
+        for (const topo::node_id other : set_.items()) {
+            if (other == id) continue;
+            fold(id, other, arc_gap(tree_->node(other).arc, q), banned, floor,
+                 best, best_d);
         }
         if (best == topo::knull_node) return std::nullopt;
         return std::make_pair(best, best_d);
@@ -235,6 +252,22 @@ class grid_index {
         const double mv = std::min(q.v().lo - (v_lo_ + c.v0 * cell_),
                                    (v_lo_ + (c.v1 + 1) * cell_) - q.v().hi);
         return std::max(0.0, std::min(mu, mv) - margin_eps_);
+    }
+
+    /// Fold candidate `other` at distance `d` into the strict
+    /// lexicographic (distance, id) minimum (best, best_d) of a query of
+    /// `id`.  The floor and ban checks run only when the candidate would
+    /// improve the best.
+    template <class Banned>
+    static void fold(topo::node_id id, topo::node_id other, double d,
+                     const Banned& banned, const nn_floor& floor,
+                     topo::node_id& best, double& best_d) {
+        if (d < best_d || (d == best_d && other < best)) {
+            if (!floor.admits(d, other) || banned(pair_key(id, other)))
+                return;
+            best_d = d;
+            best = other;
+        }
     }
 
     /// Tilted-space L-infinity gap of arc `a` to query `q`, with the

@@ -24,10 +24,34 @@ geom::interval group_window(const geom::interval& a, const geom::interval& b,
     return {a.hi - b.lo - bound, bound + a.lo - b.hi};
 }
 
-/// Mutable copy of both sides' electrical state during planning.
+/// One side's electrical state during planning.  The root's delay map is
+/// read in place; the first interior snake on this side copies it into
+/// `own` and shifts the copy, so a plan that fails before any snake —
+/// almost every rejected plan — copies no map.  `delays` may point at
+/// `own`, so a side is neither copied nor moved.
+struct plan_side {
+    explicit plan_side(const topo::tree_node& root)
+        : delays(&root.delays), cap(root.subtree_cap) {}
+    plan_side(const plan_side&) = delete;
+    plan_side& operator=(const plan_side&) = delete;
+
+    /// The map to shift, copied from the root's on first use.
+    topo::group_delays& writable() {
+        if (delays != &own) {
+            own = *delays;
+            delays = &own;
+        }
+        return own;
+    }
+
+    const topo::group_delays* delays;  ///< the root's map, or `own`
+    topo::group_delays own;
+    double cap;
+};
+
+/// Both sides' state during planning, with the interior snakes so far.
 struct working_state {
-    topo::group_delays da, db;
-    double ca = 0.0, cb = 0.0;
+    plan_side a, b;
     std::vector<interior_snake> snakes;
 
     /// Accumulated snake length already planned on (root, child).
@@ -49,10 +73,11 @@ struct working_state {
 /// no-snake range allows, so consistency drift happens only in lieu of
 /// snake wire.
 merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
-                       const topo::tree_node& nb, working_state ws,
+                       const topo::tree_node& nb, working_state& ws,
                        const geom::interval& window, int shared_count,
                        double violation, std::optional<double> soft_target) {
     const double span = na.arc.distance(nb.arc);
+    const double ca = ws.a.cap, cb = ws.b.cap;
 
     double alpha = 0.0, beta = 0.0;
     bool solved = false;
@@ -60,11 +85,11 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
         double a_min = -std::numeric_limits<double>::infinity();
         double a_max = std::numeric_limits<double>::infinity();
         if (std::isfinite(window.hi)) {
-            a_min = rc::split_for_target(model, span, ws.ca, ws.cb, window.hi)
+            a_min = rc::split_for_target(model, span, ca, cb, window.hi)
                         .value_or(0.0);
         }
         if (std::isfinite(window.lo)) {
-            a_max = rc::split_for_target(model, span, ws.ca, ws.cb, window.lo)
+            a_max = rc::split_for_target(model, span, ca, cb, window.lo)
                         .value_or(span);
         }
         if (std::max(a_min, 0.0) <= std::min(a_max, span) + klen_eps) {
@@ -74,7 +99,7 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
                 // Soft-ledger rule: hit the consistent offset when free,
                 // otherwise stop at the nearest end of the no-snake range.
                 const double at =
-                    rc::split_for_target(model, span, ws.ca, ws.cb,
+                    rc::split_for_target(model, span, ca, cb,
                                          *soft_target)
                         .value_or(0.5 * (s + e));
                 alpha = std::clamp(at, s, e);
@@ -83,11 +108,11 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
                 // delay spread (unimodal in alpha; ternary search).  This
                 // turns the SDR freedom of disjoint-group merges into fewer
                 // future snakes.
-                const geom::interval oa = ws.da.overall();
-                const geom::interval ob = ws.db.overall();
+                const geom::interval oa = ws.a.delays->overall();
+                const geom::interval ob = ws.b.delays->overall();
                 const auto spread = [&](double al) {
-                    const double ea = model.edge_delay(al, ws.ca);
-                    const double eb = model.edge_delay(span - al, ws.cb);
+                    const double ea = model.edge_delay(al, ca);
+                    const double eb = model.edge_delay(span - al, cb);
                     return std::max(oa.hi + ea, ob.hi + eb) -
                            std::min(oa.lo + ea, ob.lo + eb);
                 };
@@ -112,12 +137,12 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
 
     if (!solved) {
         // Root-edge snaking: extend the side whose subtree is too fast.
-        if (rc::delay_diff(model, span, ws.ca, ws.cb, span) >
+        if (rc::delay_diff(model, span, ca, cb, span) >
             window.hi) {
             // Even alpha = span leaves D too high: lengthen the A edge.
             const double target = -window.hi;
             assert(target >= 0.0);
-            alpha = rc::length_for_delay(model, target, ws.ca).value_or(span);
+            alpha = rc::length_for_delay(model, target, ca).value_or(span);
             alpha = std::max(alpha, span);
             beta = 0.0;
         } else if (window.lo < 0.0) {
@@ -125,7 +150,7 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
             // still crossed: it lies inside [D(span), D(0)], so no snake is
             // needed — split at its midpoint.
             alpha = std::clamp(
-                rc::split_for_target(model, span, ws.ca, ws.cb,
+                rc::split_for_target(model, span, ca, cb,
                                      0.5 * (window.lo + window.hi))
                     .value_or(0.0),
                 0.0, span);
@@ -133,7 +158,7 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
         } else {
             // Even alpha = 0 leaves D too low: lengthen the B edge.
             const double target = window.lo;
-            beta = rc::length_for_delay(model, target, ws.cb).value_or(span);
+            beta = rc::length_for_delay(model, target, cb).value_or(span);
             beta = std::max(beta, span);
             alpha = 0.0;
         }
@@ -147,10 +172,10 @@ merge_plan place_split(const rc::delay_model& model, const topo::tree_node& na,
     p.violation = violation;
     p.cost = alpha + beta;
     for (const auto& s : p.snakes) p.cost += s.gamma;
-    p.new_cap = ws.ca + ws.cb + model.wire_cap(alpha + beta);
-    const double ea = model.edge_delay(alpha, ws.ca);
-    const double eb = model.edge_delay(beta, ws.cb);
-    p.delays = topo::group_delays::merged(ws.da, ea, ws.db, eb);
+    p.new_cap = ca + cb + model.wire_cap(alpha + beta);
+    const double ea = model.edge_delay(alpha, ca);
+    const double eb = model.edge_delay(beta, cb);
+    p.delays = topo::group_delays::merged(*ws.a.delays, ea, *ws.b.delays, eb);
     p.arc = na.arc.expanded(alpha + klen_eps)
                 .intersect(nb.arc.expanded(beta + klen_eps));
     assert(!p.arc.empty());
@@ -204,8 +229,12 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
     const topo::tree_node& na = t.node(a);
     const topo::tree_node& nb = t.node(b);
 
-    working_state ws{na.delays, nb.delays, na.subtree_cap, nb.subtree_cap, {}};
-    const std::vector<topo::group_id> shared = ws.da.shared_with(ws.db);
+    working_state ws{plan_side(na), plan_side(nb), {}};
+    // The delay maps as planning shifts them (each the root's own until
+    // an interior snake copies it; plan_side).
+    const topo::group_delays*& da = ws.a.delays;
+    const topo::group_delays*& db = ws.b.delays;
+    const std::vector<topo::group_id> shared = da->shared_with(*db);
 
     // --- Exact ledger mode (zero intra-group skew): offsets between
     // co-resident groups are globally consistent by construction, so the
@@ -214,24 +243,23 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
     // router's free choice, bound at commit) or a single point read off
     // the ledger.
     if (mode_ == consistency_mode::exact) {
-        const topo::group_id rep_a = ws.da.entries().front().first;
-        const topo::group_id rep_b = ws.db.entries().front().first;
+        const topo::group_id rep_a = da->entries().front().first;
+        const topo::group_id rep_b = db->entries().front().first;
         geom::interval window = geom::interval::all();
         if (ledger_->same(rep_a, rep_b)) {
-            const double d_req = ws.da.find(rep_a)->lo -
-                                 ws.db.find(rep_b)->lo -
+            const double d_req = da->find(rep_a)->lo - db->find(rep_b)->lo -
                                  ledger_->offset(rep_a, rep_b);
             window = geom::interval::at(d_req);
 #ifndef NDEBUG
             // Every shared group must demand the same difference — exactly
             // the consistency the ledger guarantees.
             for (topo::group_id g : shared) {
-                const double dg = ws.da.find(g)->lo - ws.db.find(g)->lo;
+                const double dg = da->find(g)->lo - db->find(g)->lo;
                 assert(std::fabs(dg - d_req) < 1e-15);
             }
 #endif
         }
-        return place_split(model_, na, nb, std::move(ws), window,
+        return place_split(model_, na, nb, ws, window,
                            static_cast<int>(shared.size()), 0.0, std::nullopt);
     }
 
@@ -247,8 +275,8 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
     const auto compute_window = [&]() {
         geom::interval w = geom::interval::all();
         for (topo::group_id g : shared) {
-            const geom::interval* ia = ws.da.find(g);
-            const geom::interval* ib = ws.db.find(g);
+            const geom::interval* ia = da->find(g);
+            const geom::interval* ib = db->find(g);
             w = w.intersect(group_window(*ia, *ib, spec_.bound(g)));
         }
         return w;
@@ -256,23 +284,21 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
 
     // Attempt an interior snake on `root`'s direct child containing
     // `target` but not `avoid`; returns true and updates ws on success.
-    const auto try_interior_snake = [&](topo::node_id root,
-                                        topo::group_delays& side_delays,
-                                        double& side_cap, topo::group_id target,
+    const auto try_interior_snake = [&](topo::node_id root, plan_side& side,
+                                        topo::group_id target,
                                         topo::group_id avoid,
                                         double delta) -> bool {
         const topo::tree_node& r = t.node(root);
-        if (r.is_leaf()) return false;
+        // Legality: snaking a child edge must not break frozen alignments,
+        // i.e. no group may straddle the child boundary — the children
+        // must share no group, the same test from either child's side.
+        // Leaves have no children and never carry the flag.
+        if (!r.disjoint_children) return false;
         for (int which = 0; which < 2; ++which) {
             const topo::node_id child_id = (which == 0) ? r.left : r.right;
-            const topo::node_id sib_id = (which == 0) ? r.right : r.left;
             const topo::tree_node& child = t.node(child_id);
-            const topo::tree_node& sib = t.node(sib_id);
             if (child.delays.find(target) == nullptr) continue;
             if (child.delays.find(avoid) != nullptr) continue;  // ineffective
-            // Legality: snaking the child edge must not break frozen
-            // alignments, i.e. no group may straddle the child boundary.
-            if (!child.delays.disjoint_from(sib.delays)) continue;
             const double base_edge =
                 ((which == 0) ? r.edge_left : r.edge_right) +
                 ws.planned_gamma(root, child_id);
@@ -280,12 +306,13 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
                 model_, base_edge, child.subtree_cap, delta);
             if (!gamma.has_value()) continue;
             ws.snakes.push_back({root, child_id, *gamma, delta});
+            topo::group_delays& shifted = side.writable();
             for (topo::group_id g2 : child.delays.groups()) {
-                const geom::interval* iv = side_delays.find(g2);
+                const geom::interval* iv = shifted.find(g2);
                 assert(iv != nullptr);
-                side_delays.set(g2, iv->shifted(delta));
+                shifted.set(g2, iv->shifted(delta));
             }
-            side_cap += model_.wire_cap(*gamma);
+            side.cap += model_.wire_cap(*gamma);
             return true;
         }
         return false;
@@ -304,7 +331,7 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
         double min_hi = std::numeric_limits<double>::infinity();
         for (topo::group_id g : shared) {
             const geom::interval w =
-                group_window(*ws.da.find(g), *ws.db.find(g), spec_.bound(g));
+                group_window(*da->find(g), *db->find(g), spec_.bound(g));
             if (w.lo > max_lo) {
                 max_lo = w.lo;
                 g_lo = g;
@@ -319,8 +346,8 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
         const double delta = residual;
         // Shift W_{g_lo} down by delaying group g_lo on the B side, or
         // W_{g_hi} up by delaying group g_hi on the A side.
-        if (try_interior_snake(b, ws.db, ws.cb, g_lo, g_hi, delta)) continue;
-        if (try_interior_snake(a, ws.da, ws.ca, g_hi, g_lo, delta)) continue;
+        if (try_interior_snake(b, ws.b, g_lo, g_hi, delta)) continue;
+        if (try_interior_snake(a, ws.a, g_hi, g_lo, delta)) continue;
         if (!forced) return std::nullopt;
         break;  // forced: meet at the minimax point below
     }
@@ -333,7 +360,7 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
         double min_hi = std::numeric_limits<double>::infinity();
         for (topo::group_id g : shared) {
             const geom::interval w =
-                group_window(*ws.da.find(g), *ws.db.find(g), spec_.bound(g));
+                group_window(*da->find(g), *db->find(g), spec_.bound(g));
             max_lo = std::max(max_lo, w.lo);
             min_hi = std::min(min_hi, w.hi);
         }
@@ -347,12 +374,12 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
     // drifted groups cannot hijack the target.
     std::optional<double> soft_target;
     if (mode_ == consistency_mode::soft) {
-        const topo::group_id rep_a = ws.da.entries().front().first;
-        const topo::group_id rep_b = ws.db.entries().front().first;
+        const topo::group_id rep_a = da->entries().front().first;
+        const topo::group_id rep_b = db->entries().front().first;
         if (ledger_->same(rep_a, rep_b)) {
             std::vector<double> cand;
-            for (const auto& [g, iva] : ws.da.entries()) {
-                for (const auto& [h, ivb] : ws.db.entries()) {
+            for (const auto& [g, iva] : da->entries()) {
+                for (const auto& [h, ivb] : db->entries()) {
                     cand.push_back(iva.mid() - ivb.mid() -
                                    ledger_->offset(g, h));
                 }
@@ -363,7 +390,7 @@ std::optional<merge_plan> merge_solver::solve(const topo::clock_tree& t,
         }
     }
 
-    return place_split(model_, na, nb, std::move(ws), window,
+    return place_split(model_, na, nb, ws, window,
                        static_cast<int>(shared.size()), violation,
                        soft_target);
 }

@@ -27,6 +27,13 @@
 ///    pair; a forced variant minimising the worst violation exists for
 ///    pathological endgames.
 ///
+/// Rejection is the common outcome on difficult instances, so the failure
+/// path is kept cheap: both roots' delay maps are read in place and a side
+/// is copied only when an interior snake shifts it, and a root whose
+/// children share a group (`tree_node::disjoint_children` false) is
+/// dismissed as a snake site without reading its children.  A plan that
+/// fails with no legal snake allocates only its shared-group list.
+///
 /// `merge_solver::plan` is the only merge-plan solver: the engine calls it
 /// for every pair it selects, in both merge orders, and re-keys pairs by
 /// `merge_plan::cost`.

@@ -5,14 +5,6 @@
 
 namespace astclk::topo {
 
-const geom::interval* group_delays::find(group_id g) const {
-    auto it = std::lower_bound(
-        entries_.begin(), entries_.end(), g,
-        [](const entry& e, group_id key) { return e.first < key; });
-    if (it != entries_.end() && it->first == g) return &it->second;
-    return nullptr;
-}
-
 void group_delays::set(group_id g, geom::interval iv) {
     auto it = std::lower_bound(
         entries_.begin(), entries_.end(), g,

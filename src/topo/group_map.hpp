@@ -15,6 +15,7 @@
 #include "geom/interval.hpp"
 #include "topo/instance.hpp"
 
+#include <algorithm>
 #include <iosfwd>
 #include <utility>
 #include <vector>
@@ -42,8 +43,15 @@ class group_delays {
 
     [[nodiscard]] const std::vector<entry>& entries() const { return entries_; }
 
-    /// Interval for group g, or nullptr when absent.
-    [[nodiscard]] const geom::interval* find(group_id g) const;
+    /// Interval for group g, or nullptr when absent.  Inline: the merge
+    /// solver's window loops call it per shared group.
+    [[nodiscard]] const geom::interval* find(group_id g) const {
+        const auto it = std::lower_bound(
+            entries_.begin(), entries_.end(), g,
+            [](const entry& e, group_id key) { return e.first < key; });
+        if (it != entries_.end() && it->first == g) return &it->second;
+        return nullptr;
+    }
 
     /// Insert or overwrite the interval of group g.
     void set(group_id g, geom::interval iv);

@@ -33,6 +33,7 @@ node_id clock_tree::add_internal(node_id left, node_id right,
     n.edge_right = edge_right;
     n.subtree_cap = subtree_cap;
     n.delays = std::move(delays);
+    n.disjoint_children = node(left).delays.disjoint_from(node(right).delays);
     nodes_.push_back(std::move(n));
     const node_id id = nodes_.back().id;
     nodes_[static_cast<std::size_t>(left)].parent = id;

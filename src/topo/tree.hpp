@@ -5,8 +5,8 @@
 ///
 /// Nodes live in a flat vector; children are indices.  Each node stores the
 /// bottom-up results (merging arc, electrical edge lengths to children,
-/// downstream capacitance, per-group delay map) and, after the top-down
-/// pass, its embedded location.
+/// downstream capacitance, per-group delay map, whether its children share
+/// a group) and, after the top-down pass, its embedded location.
 ///
 /// Electrical edge lengths may exceed the geometric distance between the
 /// embedded endpoints — the difference is wire snaking, which the embedder
@@ -31,6 +31,13 @@ struct tree_node {
     node_id right = knull_node;
     node_id parent = knull_node;
     std::int32_t sink_index = -1;  ///< leaf: index into instance::sinks
+    /// Internal node whose two children share no group: the legality
+    /// condition of an interior snake on either child edge (Fig. 5), which
+    /// merge_solver tests before reading the children.  Set by
+    /// add_internal; a node's group set never changes afterwards, so the
+    /// flag stays exact.  It sits in the padding before `arc`, in the
+    /// cache line the nearest-neighbour walk already reads.
+    bool disjoint_children = false;
 
     geom::tilted_rect arc;     ///< merging segment (iso-delay locus)
     double edge_left = 0.0;    ///< electrical length to left child
@@ -54,6 +61,7 @@ class clock_tree {
 
     /// Create an internal node over two existing roots.  Children gain a
     /// parent; edge lengths are *electrical* (may embed with snaking).
+    /// Sets `disjoint_children` from the children's delay maps.
     node_id add_internal(node_id left, node_id right, geom::tilted_rect arc,
                          double edge_left, double edge_right,
                          double subtree_cap, group_delays delays);
@@ -63,7 +71,9 @@ class clock_tree {
     /// returns that shift.  Donor node `i` becomes node `shift + i`, so a
     /// donor root maps deterministically — the sharded reduction uses this
     /// to combine independently built per-shard trees into one arena
-    /// before stitching their roots.  The donor's root/source-edge
+    /// before stitching their roots.  Every node field other than the
+    /// references, `disjoint_children` included, is copied as is.  The
+    /// donor's root/source-edge
     /// bookkeeping is not carried over (grafted subtrees are roots among
     /// others until a later merge adopts them).  Deliberately does not
     /// reserve: per-call exact reservations would defeat the vector's

@@ -4,7 +4,8 @@
 //    state, then a violation is seeded — a corrupted edge, a stale grid
 //    registration, a broken heap order or position map, a selection entry
 //    that disagrees with its record, a record that is not its root's
-//    nearest unbanned partner, a leaked scratch lease, books that do not
+//    nearest unbanned partner, a stale live ban degree, a wrong
+//    disjoint-children flag, a leaked scratch lease, books that do not
 //    sum — and the checker must name it.  A checker that cannot detect
 //    the corruption it claims to guard against is worse than none: it
 //    certifies.
@@ -17,6 +18,7 @@
 #include "core/dary_heap.hpp"
 #include "core/route_context.hpp"
 #include "core/strategy.hpp"
+#include "gen/grouping.hpp"
 #include "gen/instance_gen.hpp"
 
 #include <gtest/gtest.h>
@@ -84,6 +86,32 @@ TEST(AuditTree, SeededParentChildAsymmetryFires) {
     // symmetry breaks, which the delegated check_structure pass reports.
     t.node(t.root()).left = t.root();
     EXPECT_NE(audit::verify_tree_structure(t, inst.sinks.size()), "");
+}
+
+TEST(AuditTree, SeededDisjointChildrenFlagFires) {
+    auto inst = small_instance(40);
+    gen::apply_intermingled_groups(inst, 4, 1);
+    routing_context ctx;
+    const route_result res = route_small(inst, ctx);
+    ASSERT_EQ(audit::verify_tree_structure(res.tree, inst.sinks.size()), "");
+    // Flip one flag of each value, and set one on a leaf.
+    topo::node_id set = topo::knull_node, clear = topo::knull_node,
+                  leaf = topo::knull_node;
+    for (std::size_t i = 0; i < res.tree.size(); ++i) {
+        const auto id = static_cast<topo::node_id>(i);
+        const topo::tree_node& n = res.tree.node(id);
+        (n.is_leaf() ? leaf : n.disjoint_children ? set : clear) = id;
+    }
+    ASSERT_NE(set, topo::knull_node);
+    ASSERT_NE(clear, topo::knull_node);
+    for (const topo::node_id id : {set, clear, leaf}) {
+        topo::clock_tree t = res.tree;
+        t.node(id).disjoint_children = !t.node(id).disjoint_children;
+        const std::string diag =
+            audit::verify_tree_structure(t, inst.sinks.size());
+        ASSERT_NE(diag, "") << "node " << id;
+        EXPECT_NE(diag.find("flags its children"), std::string::npos) << diag;
+    }
 }
 
 // ---------------------------------------------------- grid vs live set
@@ -282,6 +310,44 @@ TEST(AuditRecords, RecordThatIsNotTheNearestUnbannedPartnerFires) {
         f.nn_to[static_cast<std::size_t>(f.active[9])] = topo::knull_node;
         EXPECT_NE(f.nn(), "");
     }
+}
+
+// ---------------------------------------------------- live ban degrees
+
+TEST(AuditBans, LiveDegreesPassSeededStaleDegreesFire) {
+    // Roots 0-9 are active; 10 and 11 merged away.  Root 3's bans were
+    // all with the retired roots, so its live degree is back to zero.
+    const std::vector<topo::node_id> active{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+    const std::unordered_set<std::uint64_t> banned{
+        pair_key(0, 1), pair_key(0, 2),  pair_key(1, 2),
+        pair_key(3, 10), pair_key(3, 11), pair_key(10, 11)};
+    std::vector<std::uint32_t> live(12, 0);
+    live[0] = live[1] = live[2] = 2;
+    ASSERT_EQ(audit::verify_ban_degrees(active, banned, live), "");
+    // Ids beyond the table have degree zero.
+    EXPECT_EQ(audit::verify_ban_degrees(
+                  active, banned, {live.begin(), live.begin() + 3}),
+              "");
+
+    // Seed 1: a retirement that never reached its partner.
+    {
+        auto stale = live;
+        stale[3] = 1;
+        const std::string diag =
+            audit::verify_ban_degrees(active, banned, stale);
+        ASSERT_NE(diag, "");
+        EXPECT_NE(diag.find("root 3"), std::string::npos) << diag;
+    }
+    // Seed 2: a ban that was never counted.
+    {
+        auto low = live;
+        --low[1];
+        EXPECT_NE(audit::verify_ban_degrees(active, banned, low), "");
+    }
+    // Seed 3: a table too short for a root that carries bans.
+    EXPECT_NE(audit::verify_ban_degrees(active, banned,
+                                        {live.begin(), live.begin() + 1}),
+              "");
 }
 
 // -------------------------------------------------- scratch lease balance

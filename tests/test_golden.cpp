@@ -1,14 +1,18 @@
 // Tree bit-identity (DESIGN.md §11).  The engine has one implementation
-// per decision — merge_solver::plan for every merge, the grid ring-walk NN
-// query, the degree-pruned ban probe and the per-cell distance fold-in —
-// so there is no second path to compare against at run time.  Instead:
+// per decision — merge_solver::plan for every merge, the grid NN query
+// (ring walk, or one pass over the active set where bans cover half of
+// it, picked in one place), the live-degree-pruned ban probe and the
+// per-cell distance fold-in — so there is no second path to compare
+// against at run time.  Instead:
 //
 //  * golden tree fingerprints: r1–r5 x k {4, 6} x fourteen router
 //    configurations (windowed 0/5 ps, automatic 0/5 ps, soft ledger,
 //    multi-merge windowed/automatic, linear backend, 4 shards, auto shards
 //    and windowed zero skew on 3 threads, EXT-BST 10 ps, ZST,
-//    separate-stitch) plus the l1 placement at 5000 sinks, each pinned to
-//    wirelength, merges, rejected and forced pairs, the snake-wire bits
+//    separate-stitch) plus the l1 placement at 5000 sinks (windowed zero
+//    skew at k = 6, and at k = 8 under grouping seeds 1 and 2 — the
+//    rejection-heavy shapes of the difficult_mono benchmark), each pinned
+//    to wirelength, merges, rejected and forced pairs, the snake-wire bits
 //    and a hash of every node's children, arc endpoints and edge lengths.
 //    The values were captured from the engine while it still carried a
 //    separate scalar reference kernel (both kernels built these exact
@@ -31,15 +35,18 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 
 namespace astclk::core {
 namespace {
 
-/// Intermingled paper instance with the reference grouping seed.
-topo::instance paper_instance(const char* name, int groups) {
+/// Intermingled paper instance, by default with the reference grouping
+/// seed.
+topo::instance paper_instance(const char* name, int groups,
+                              std::uint64_t grouping_seed = 1) {
     auto inst = gen::generate(gen::paper_spec(name));
-    gen::apply_intermingled_groups(inst, groups, 1);
+    gen::apply_intermingled_groups(inst, groups, grouping_seed);
     return inst;
 }
 
@@ -145,6 +152,7 @@ struct golden_row {
     int merges, rejected, forced;
     std::uint64_t snake_wire_bits;
     std::uint64_t tree;
+    std::uint64_t grouping_seed = 1;
 };
 
 // clang-format off
@@ -431,29 +439,40 @@ const golden_row kgolden[] = {
      0x4136b0181779862bULL, 0x3c103ec5bc75fdeaULL},
     {"l1/5000", 6, config::windowed0, 11819303.010121912, 4999, 5848, 65,
      0x41506841fdbcb448ULL, 0x1897e1a855a5ac46ULL},
+    {"l1/5000", 8, config::windowed0, 10254818.898478977, 4999, 8496, 80,
+     0x4143d48c79b69052ULL, 0x2cf2f4660439ff2aULL, 1},
+    {"l1/5000", 8, config::windowed0, 11879474.515110932, 4999, 8679, 79,
+     0x414ea85165ea15b5ULL, 0xeacf1003a39c595bULL, 2},
 };
 // clang-format on
 
-topo::instance golden_instance(const std::string& name, int groups) {
-    if (name != "l1/5000") return paper_instance(name.c_str(), groups);
+topo::instance golden_instance(const std::string& name, int groups,
+                               std::uint64_t grouping_seed) {
+    if (name != "l1/5000")
+        return paper_instance(name.c_str(), groups, grouping_seed);
     gen::instance_spec spec = gen::large_spec("l1");
     spec.num_sinks = 5000;
     auto inst = gen::generate(spec);
-    gen::apply_intermingled_groups(inst, groups, 1);
+    gen::apply_intermingled_groups(inst, groups, grouping_seed);
     return inst;
 }
 
 TEST(Golden, GoldenTreeFingerprints) {
-    std::map<std::pair<std::string, int>, topo::instance> instances;
+    std::map<std::tuple<std::string, int, std::uint64_t>, topo::instance>
+        instances;
     for (const golden_row& g : kgolden) {
-        const auto key = std::make_pair(std::string(g.instance), g.groups);
+        const auto key =
+            std::make_tuple(std::string(g.instance), g.groups, g.grouping_seed);
         auto it = instances.find(key);
         if (it == instances.end())
-            it = instances.emplace(key, golden_instance(key.first, g.groups))
+            it = instances
+                     .emplace(key, golden_instance(g.instance, g.groups,
+                                                   g.grouping_seed))
                      .first;
         const route_result r = route_config(it->second, g.cfg);
-        const std::string what = key.first + " k=" +
-                                 std::to_string(g.groups) + " config " +
+        const std::string what = std::string(g.instance) + " k=" +
+                                 std::to_string(g.groups) + " grouping " +
+                                 std::to_string(g.grouping_seed) + " config " +
                                  std::to_string(static_cast<int>(g.cfg));
         ASSERT_TRUE(r.ok()) << what << ": " << r.status_message;
         EXPECT_EQ(r.wirelength, g.wirelength) << what;

@@ -289,11 +289,12 @@ bans_t random_bans(const std::vector<node_id>& active, std::uint64_t seed,
     return bans;
 }
 
-/// Grid, linear scan and brute force agree on every query of `active`
-/// under every floor a query can meet: none; each candidate's own
-/// (d, id) — the record the engine floors at after a rejection — with
-/// the id one below and one above (equal-distance ties on both sides of
-/// the floor id); and the candidate's distance one ulp below and above.
+/// Grid (ring walk and dense scan), linear scan and brute force agree on
+/// every query of `active` under every floor a query can meet: none; each
+/// candidate's own (d, id) — the record the engine floors at after a
+/// rejection — with the id one below and one above (equal-distance ties
+/// on both sides of the floor id); and the candidate's distance one ulp
+/// below and above.
 /// Returns how many floors had equal-distance candidates on both sides of
 /// the floor id, so callers can assert their fixture exercises that case.
 int expect_floored_queries_exact(const clock_tree& t,
@@ -313,16 +314,24 @@ int expect_floored_queries_exact(const clock_tree& t,
         const auto want = brute_nearest(t, active, id, bans, floor);
         const auto l = lin.nearest_if(id, probe, floor);
         const auto g = grid.nearest_if(id, probe, floor);
+        const auto gs = grid.nearest_scan_if(id, probe, floor);
         ASSERT_EQ(want.has_value(), l.has_value())
             << "id " << id << " floor (" << floor.d << ", " << floor.id << ")";
         ASSERT_EQ(want.has_value(), g.has_value())
             << "id " << id << " floor (" << floor.d << ", " << floor.id << ")";
+        ASSERT_EQ(want.has_value(), gs.has_value())
+            << "id " << id << " floor (" << floor.d << ", " << floor.id
+            << ") (scan)";
         if (!want.has_value()) return;
         EXPECT_EQ(want->first, l->first) << "id " << id;
         EXPECT_EQ(want->second, l->second) << "id " << id;
         EXPECT_EQ(want->first, g->first)
             << "id " << id << " floor (" << floor.d << ", " << floor.id << ")";
         EXPECT_EQ(want->second, g->second) << "id " << id;
+        EXPECT_EQ(want->first, gs->first)
+            << "id " << id << " floor (" << floor.d << ", " << floor.id
+            << ") (scan)";
+        EXPECT_EQ(want->second, gs->second) << "id " << id << " (scan)";
     };
     constexpr double kinf = std::numeric_limits<double>::infinity();
     for (const node_id id : active) {
@@ -364,12 +373,24 @@ TEST(GridIndex, FloorMatchesLinearAndBruteForceOnRandomArcs) {
             {geom::interval::at(hull.u().mid()), hull.v()}, 0.0, 0.0, 0.0,
             t.node(leaves[k]).delays));
     }
-    for (const std::uint64_t seed : {5u, 6u}) {
-        std::vector<node_id> all = roots;
-        all.insert(all.end(), merged.begin(), merged.end());
+    std::vector<node_id> all = roots;
+    all.insert(all.end(), merged.begin(), merged.end());
+    for (const std::uint64_t seed : {5u, 6u})
         expect_floored_queries_exact(t, roots, merged,
                                      random_bans(all, seed, 2));
+    // Dense bans, the regime where the engine answers by the dense scan:
+    // every root is banned with at least half the active set, and one
+    // leaf and one merged arc with all of it.
+    bans_t dense = random_bans(all, 7, 40);
+    for (const node_id starved : {roots[3], merged[2]})
+        for (const node_id j : all)
+            if (j != starved) dense.insert(pair_key(starved, j));
+    for (const node_id i : all) {
+        std::size_t deg = 0;
+        for (const node_id j : all) deg += dense.count(pair_key(i, j));
+        EXPECT_GE(2 * deg, all.size()) << "root " << i;
     }
+    expect_floored_queries_exact(t, roots, merged, dense);
 }
 
 TEST(GridIndex, FloorMatchesOnLatticeTiesBoundariesAndClampedArcs) {

@@ -143,6 +143,31 @@ TEST(FaultPlan, PollAtMapsKindsToStatuses) {
     EXPECT_EQ(tok.poll_at(fault_site::selection, 4), route_status::ok);
 }
 
+TEST(CancelToken, ChainedFlagBeatsAFiredDeadline) {
+    // poll_at's contract: cancelled beats deadline_exceeded when both
+    // fired — anywhere down the chain, not only within one token.
+    std::atomic<bool> flag{true};
+    const auto past =
+        std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+    const cancel_token inner(&flag, cancel_token::no_deadline());
+    cancel_token mid(nullptr, past);
+    mid.set_chain(&inner);
+    cancel_token outer(nullptr, past);
+    outer.set_chain(&mid);
+    EXPECT_EQ(outer.poll_at(fault_site::selection, 1),
+              route_status::cancelled);
+    EXPECT_EQ(mid.poll_at(fault_site::selection, 1), route_status::cancelled);
+    EXPECT_EQ(outer.flags_only().poll_at(fault_site::selection, 1),
+              route_status::cancelled);
+    // Flag cleared: the fired deadlines report, except through a
+    // flags_only() copy, which ignores every deadline of the chain.
+    flag.store(false);
+    EXPECT_EQ(outer.poll_at(fault_site::selection, 1),
+              route_status::deadline_exceeded);
+    EXPECT_EQ(outer.flags_only().poll_at(fault_site::selection, 1),
+              route_status::ok);
+}
+
 TEST(Degrade, CoarseShardCountBounds) {
     EXPECT_GE(coarse_shard_count(100, 1), 2);
     EXPECT_LE(coarse_shard_count(100, 1), 100);

@@ -49,6 +49,35 @@ TEST(ClockTree, InternalNodeWiresChildren) {
     EXPECT_FALSE(t.node(m).is_leaf());
 }
 
+TEST(ClockTree, InternalNodeFlagsDisjointChildren) {
+    // Sinks 0 and 2 are in group 0, sink 1 in group 1.
+    const instance inst = three_sink_instance();
+    clock_tree t;
+    const node_id l0 = t.add_leaf(inst, 0);
+    const node_id l1 = t.add_leaf(inst, 1);
+    const node_id l2 = t.add_leaf(inst, 2);
+    EXPECT_FALSE(t.node(l0).disjoint_children);  // leaves never carry it
+    const node_id m = t.add_internal(
+        l0, l1, {}, 1, 1, 0,
+        group_delays::merged(t.node(l0).delays, 0.0, t.node(l1).delays, 0.0));
+    EXPECT_TRUE(t.node(m).disjoint_children);  // {0} and {1}
+    const node_id r = t.add_internal(
+        m, l2, {}, 1, 1, 0,
+        group_delays::merged(t.node(m).delays, 0.0, t.node(l2).delays, 0.0));
+    EXPECT_FALSE(t.node(r).disjoint_children);  // {0, 1} and {0}
+
+    // absorb copies the flag with the node.
+    clock_tree host;
+    host.add_leaf(inst, 1);
+    const node_id shift = host.absorb(t);
+    EXPECT_TRUE(host.node(shift + m).disjoint_children);
+    EXPECT_FALSE(host.node(shift + r).disjoint_children);
+    EXPECT_FALSE(host.node(shift + l0).disjoint_children);
+
+    // The flag sits in padding: the node keeps its two cache lines.
+    EXPECT_EQ(sizeof(tree_node), 128u);
+}
+
 TEST(ClockTree, WirelengthSumsEdgesAndSource) {
     const instance inst = three_sink_instance();
     clock_tree t;
