@@ -46,7 +46,7 @@ inline std::vector<core::route_result> run_batch(
 /// files that track the perf trajectory across PRs.
 struct perf_record {
     std::string bench;    ///< benchmark id, e.g. "engine_reduce"
-    std::string backend;  ///< NN backend tag: "grid" | "linear"
+    std::string backend;  ///< series tag, e.g. "grid", "t1" or "scan"
     int n = 0;            ///< instance size (sinks)
     double seconds = 0.0; ///< best wall-clock of the repetitions
     int merges = 0;

@@ -1,6 +1,5 @@
 // Merge-engine scaling benchmark: wall-clock of the bottom-up reduce and
-// of full AST-DME routes across instance sizes, for both nearest-neighbour
-// backends (grid vs the linear verification scan) — plus the sharded
+// of full AST-DME routes across instance sizes — plus the sharded
 // die-region reduction on r5 and the large family (shard_reduce:
 // monolithic vs auto shards at 1 thread and a hardware-wide pool, with
 // the sharded-vs-monolithic wirelength delta in the JSON), aggregate
@@ -10,23 +9,29 @@
 //
 // Emits a human table on stdout and a machine-readable
 // BENCH_micro_perf.json (per-n wall-clock, merges/sec, latency
-// percentiles, backend tag) so future PRs can track the perf trajectory
+// percentiles, series tag) so the perf trajectory can be tracked
 // (bench/perf_diff.py gates the engine benches and the streamed p95
 // against the committed baseline).  Every gated seconds row also times
 // the calibration kernel before each repetition and records the median
 // per-repetition ratio (rep_calibration below), which perf_diff gates in
-// place of the raw wall-clock.
+// place of the raw wall-clock; the kernel's own time is the
+// calibration:scan row, perf_diff's global machine-speed factor.
 //
 // Usage:  micro_perf [--quick] [output.json]
 //   --quick   cap the sweep at n=512 and shrink the batch (CI smoke)
 
 #include "common.hpp"
 #include "core/router_detail.hpp"
+#include "gen/rng.hpp"
 
 #include <chrono>
 #include <cstring>
 #include <limits>
 #include <thread>
+
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
 namespace {
 
@@ -37,11 +42,7 @@ double now_diff(std::chrono::steady_clock::time_point t0) {
         .count();
 }
 
-const char* tag(core::nn_backend be) {
-    return be == core::nn_backend::grid ? "grid" : "linear";
-}
-
-/// Backend tag of a thread-count row, e.g. "t4".  Not spelled
+/// Series tag of a thread-count row, e.g. "t4".  Not spelled
 /// `"t" + std::to_string(threads)`: GCC 12 inlines that into a memcpy it
 /// then misreports under -Werror=restrict.
 std::string thread_tag(int threads) {
@@ -58,15 +59,13 @@ topo::instance sweep_instance(int n, int groups) {
     return inst;
 }
 
-/// Time one zero-skew engine.reduce of `inst` on backend `be`, reusing
-/// `scratch` when given; the run's merge count goes to `merges`.
-double reduce_once(const topo::instance& inst, core::nn_backend be,
-                   int& merges, core::engine_scratch* scratch = nullptr) {
-    core::engine_options eopt;
-    eopt.backend = be;
+/// Time one zero-skew engine.reduce of `inst`, reusing `scratch` when
+/// given; the run's merge count goes to `merges`.
+double reduce_once(const topo::instance& inst, int& merges,
+                   core::engine_scratch* scratch = nullptr) {
     const core::merge_solver solver(rc::delay_model::elmore(),
                                     core::skew_spec::zero());
-    const core::bottom_up_engine engine(solver, eopt);
+    const core::bottom_up_engine engine(solver);
     topo::clock_tree t;
     auto roots = core::detail::make_leaves(inst, t, false);
     core::engine_stats st;
@@ -77,24 +76,70 @@ double reduce_once(const topo::instance& inst, core::nn_backend be,
     return secs;
 }
 
+/// The calibration kernel (DESIGN.md §9): a fixed all-pairs nearest-arc
+/// scan over the leaves of the n=512 sweep instance, reading every arc
+/// from its clock_tree node in a fixed shuffled order, the way a linear
+/// nearest-neighbour scan over a churned active set does.  It is written
+/// here and runs no engine code — of the library it calls only
+/// `tilted_rect::distance` — so no engine change can move it, and a
+/// slowdown anywhere in the engine shows in full in the calibrated
+/// ratios.  kpasses passes take about 13 ms.
+class calibration_kernel {
+  public:
+    explicit calibration_kernel(const topo::instance& inst) {
+        for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+            leaves_.push_back(t_.add_leaf(inst, static_cast<int>(i)));
+        gen::rng rng(512);  // fixed Fisher-Yates order of the scan
+        for (std::size_t i = leaves_.size(); i > 1; --i)
+            std::swap(leaves_[i - 1], leaves_[rng.below(i)]);
+    }
+
+    [[nodiscard]] int size() const { return static_cast<int>(leaves_.size()); }
+
+    /// Wall-clock of kpasses passes, each finding every leaf's nearest
+    /// other leaf by (distance, id).
+    double time() {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int pass = 0; pass < kpasses; ++pass) {
+            for (const topo::node_id i : leaves_) {
+                const geom::tilted_rect& arc = t_.node(i).arc;
+                topo::node_id best = topo::knull_node;
+                double best_d = std::numeric_limits<double>::infinity();
+                for (const topo::node_id j : leaves_) {
+                    if (j == i) continue;
+                    const double d = arc.distance(t_.node(j).arc);
+                    if (d < best_d || (d == best_d && j < best)) {
+                        best_d = d;
+                        best = j;
+                    }
+                }
+                found_ = best;  // volatile: every pass stays observable
+            }
+        }
+        return now_diff(t0);
+    }
+
+  private:
+    static constexpr int kpasses = 3;
+    topo::clock_tree t_;
+    std::vector<topo::node_id> leaves_;
+    volatile topo::node_id found_ = topo::knull_node;
+};
+
 /// Per-repetition calibration of one gated seconds row (DESIGN.md §9).
-/// The calibration kernel — the linear-backend reduce of the n=512 sweep
-/// instance, i.e. one repetition of the engine_reduce:linear row that
-/// perf_diff's global calibration reads — runs right before every
-/// repetition of the row, and the row keeps the median over repetitions
-/// of (repetition time / kernel time).  The two halves of each ratio run
-/// milliseconds apart, so on a host whose speed drifts in multi-second
-/// phases each ratio divides out the phase its own repetition met.  A
-/// null kernel instance leaves the row uncalibrated (calib_ratio 0).
+/// The calibration kernel runs right before every repetition of the row,
+/// and the row keeps the median over repetitions of (repetition time /
+/// kernel time).  The two halves of each ratio run milliseconds apart, so
+/// on a host whose speed drifts in multi-second phases each ratio divides
+/// out the phase its own repetition met.  A null kernel leaves the row
+/// uncalibrated (calib_ratio 0).
 class rep_calibration {
   public:
-    explicit rep_calibration(const topo::instance* kernel) : kernel_(kernel) {}
+    explicit rep_calibration(calibration_kernel* kernel) : kernel_(kernel) {}
 
     /// Time the kernel; call right before the repetition.
     void before() {
-        int merges = 0;
-        if (kernel_ != nullptr)
-            last_ = reduce_once(*kernel_, core::nn_backend::linear, merges);
+        if (kernel_ != nullptr) last_ = kernel_->time();
     }
     /// Record the repetition's `secs` against the kernel time just taken.
     void after(double secs) {
@@ -110,24 +155,23 @@ class rep_calibration {
     }
 
   private:
-    const topo::instance* kernel_;
+    calibration_kernel* kernel_;
     double last_ = 0.0;
     std::vector<double> ratios_;
 };
 
 /// Time one engine.reduce run (the optimised subsystem in isolation).
-bench::perf_record bench_reduce(const topo::instance& inst,
-                                core::nn_backend be, int reps,
-                                const topo::instance* calib) {
+bench::perf_record bench_reduce(const topo::instance& inst, int reps,
+                                calibration_kernel* calib) {
     bench::perf_record rec;
     rec.bench = "engine_reduce";
-    rec.backend = tag(be);
+    rec.backend = "grid";
     rec.n = static_cast<int>(inst.sinks.size());
     rec.seconds = std::numeric_limits<double>::infinity();
     rep_calibration cal(calib);
     for (int rep = 0; rep < reps; ++rep) {
         cal.before();
-        const double secs = reduce_once(inst, be, rec.merges);
+        const double secs = reduce_once(inst, rec.merges);
         cal.after(secs);
         rec.seconds = std::min(rec.seconds, secs);
     }
@@ -137,10 +181,10 @@ bench::perf_record bench_reduce(const topo::instance& inst,
     return rec;
 }
 
-/// The nearest-pair reduce on one thread with a reused engine scratch,
-/// grid backend — the gated nearest_pair:t1 series.
+/// The nearest-pair reduce on one thread with a reused engine scratch —
+/// the gated nearest_pair:t1 series.
 bench::perf_record bench_nearest_pair(const topo::instance& inst, int reps,
-                                      const topo::instance* calib) {
+                                      calibration_kernel* calib) {
     bench::perf_record rec;
     rec.bench = "nearest_pair";
     rec.backend = "t1";
@@ -150,8 +194,7 @@ bench::perf_record bench_nearest_pair(const topo::instance& inst, int reps,
     rep_calibration cal(calib);
     for (int rep = 0; rep < reps; ++rep) {
         cal.before();
-        const double secs =
-            reduce_once(inst, core::nn_backend::grid, rec.merges, &scratch);
+        const double secs = reduce_once(inst, rec.merges, &scratch);
         cal.after(secs);
         rec.seconds = std::min(rec.seconds, secs);
     }
@@ -163,17 +206,16 @@ bench::perf_record bench_nearest_pair(const topo::instance& inst, int reps,
 
 /// The sharded die-region reduction (DESIGN.md §4): one full zero-skew
 /// route (leaves + reduce + embed, identical overhead on every row) at a
-/// given shard configuration and worker-thread count, grid backend.
-/// Backend tags: "mono" = monolithic (shards = 1), "t1" = auto shards on
-/// one thread — the gated series: single-threaded, the speedup is pure
-/// partition quality, no scheduling luck — and "thw" = auto shards fanned
-/// over a hardware-wide pool (info).  The per-row wirelength records the
+/// given shard configuration and worker-thread count.  Series tags:
+/// "mono" = monolithic (shards = 1), "t1" = auto shards on one thread —
+/// the gated series: single-threaded, the speedup is pure partition
+/// quality, no scheduling luck — and "thw" = auto shards fanned over a
+/// hardware-wide pool (info).  The per-row wirelength records the
 /// sharded-vs-monolithic quality delta alongside the wall-clocks.
 bench::perf_record bench_shard_reduce(const topo::instance& inst, int shards,
                                       int threads, int reps,
-                                      const topo::instance* calib) {
+                                      calibration_kernel* calib) {
     core::router_options opt;
-    opt.engine.backend = core::nn_backend::grid;
     opt.engine.shards = shards;
     std::unique_ptr<core::thread_pool> pool;
     if (threads > 1) {
@@ -201,14 +243,12 @@ bench::perf_record bench_shard_reduce(const topo::instance& inst, int shards,
 }
 
 /// Time a full windowed AST-DME route (embedding included).
-bench::perf_record bench_route(const topo::instance& inst,
-                               core::nn_backend be, int reps,
-                               const topo::instance* calib) {
-    core::router_options opt;
-    opt.engine.backend = be;
+bench::perf_record bench_route(const topo::instance& inst, int reps,
+                               calibration_kernel* calib) {
+    const core::router_options opt;
     bench::perf_record rec;
     rec.bench = "route_ast_windowed";
-    rec.backend = tag(be);
+    rec.backend = "grid";
     rec.n = static_cast<int>(inst.sinks.size());
     rec.seconds = std::numeric_limits<double>::infinity();
     rep_calibration cal(calib);
@@ -238,7 +278,7 @@ bench::perf_record bench_route(const topo::instance& inst,
 ///               clean rerun recovers — the cost salvage avoids.
 bench::perf_record bench_degrade_salvage(const topo::instance& inst,
                                          const std::string& mode, int reps,
-                                         const topo::instance* calib) {
+                                         calibration_kernel* calib) {
     bench::perf_record rec;
     rec.bench = "degrade_salvage";
     rec.backend = mode;
@@ -414,6 +454,16 @@ bench::perf_record bench_stream(
 }  // namespace
 
 int main(int argc, char** argv) {
+#ifdef __GLIBC__
+    // Fixed allocator thresholds.  glibc raises its mmap and trim
+    // thresholds after the process frees large blocks, so by default a
+    // row's page faults depend on which rows ran before it — a quick run
+    // and the full run that records the baseline differ — and the
+    // calibration kernel, which allocates nothing, cannot divide that out.
+    mallopt(M_MMAP_THRESHOLD, 256 << 20);
+    mallopt(M_TRIM_THRESHOLD, 1 << 30);
+    mallopt(M_TOP_PAD, 64 << 20);
+#endif
     bool quick = false;
     std::string out_path;
     for (int i = 1; i < argc; ++i) {
@@ -431,34 +481,36 @@ int main(int argc, char** argv) {
     std::vector<int> sizes{64, 128, 256, 512, 1024, 2048, 3101};
     if (quick) sizes = {64, 128, 256, 512};
 
-    std::cout << "micro_perf — merge-engine scaling (grid vs linear NN "
-                 "backend)\n\n";
-    io::table t({"Bench", "n", "Backend", "Wall(s)", "Merges/s", "Speedup"});
+    std::cout << "micro_perf — merge-engine scaling\n\n";
+    io::table t({"Bench", "n", "Series", "Wall(s)", "Merges/s", "Speedup"});
     std::vector<bench::perf_record> records;
-    // The calibration kernel's instance (rep_calibration): the n=512 sweep
-    // instance, so the kernel is one repetition of the calibration row.
-    const topo::instance calib_inst = sweep_instance(512, 6);
-    const topo::instance* calib = &calib_inst;
+    // The calibration kernel (rep_calibration) over the n=512 sweep
+    // instance's leaves, and its own row: perf_diff's global calibration.
+    calibration_kernel kernel(sweep_instance(512, 6));
+    calibration_kernel* calib = &kernel;
+    {
+        bench::perf_record rec;
+        rec.bench = "calibration";
+        rec.backend = "scan";
+        rec.n = kernel.size();
+        rec.seconds = std::numeric_limits<double>::infinity();
+        for (int rep = 0; rep < 5; ++rep)
+            rec.seconds = std::min(rec.seconds, kernel.time());
+        t.add_row({rec.bench, std::to_string(rec.n), rec.backend,
+                   io::table::fixed(rec.seconds, 4), "-", "-"});
+        records.push_back(rec);
+    }
 
     for (int n : sizes) {
         const topo::instance inst = sweep_instance(n, 6);
         const int reps = n >= 2048 ? 2 : 3;
 
         for (auto mk : {&bench_reduce, &bench_route}) {
-            const auto grid = mk(inst, core::nn_backend::grid, reps, calib);
-            const auto lin =
-                mk(inst, core::nn_backend::linear, reps, nullptr);
-            const double speedup =
-                grid.seconds > 0.0 ? lin.seconds / grid.seconds : 0.0;
-            t.add_row({grid.bench, std::to_string(grid.n), grid.backend,
-                       io::table::fixed(grid.seconds, 4),
-                       io::table::integer(grid.merges_per_sec),
-                       io::table::fixed(speedup, 2) + "x"});
-            t.add_row({lin.bench, std::to_string(lin.n), lin.backend,
-                       io::table::fixed(lin.seconds, 4),
-                       io::table::integer(lin.merges_per_sec), "1.00x"});
-            records.push_back(grid);
-            records.push_back(lin);
+            const auto rec = mk(inst, reps, calib);
+            t.add_row({rec.bench, std::to_string(rec.n), rec.backend,
+                       io::table::fixed(rec.seconds, 4),
+                       io::table::integer(rec.merges_per_sec), "-"});
+            records.push_back(rec);
         }
     }
 

@@ -6,21 +6,25 @@ For every gated series — "bench:backend" or "bench:backend:metric", the
 metric defaulting to "seconds" — present in both files, the largest common
 n is compared; a regression beyond --tolerance (default 20%) fails the
 run.  Absolute wall-clock shifts with the machine, so the comparison is
-calibrated by the linear-backend engine_reduce reduce (the linear NN scan
-plus merge_solver::plan, so a change to either must recommit the
-baseline):
+calibrated by micro_perf's calibration kernel: a fixed all-pairs
+nearest-arc scan over 512 leaves, written in micro_perf itself.  It runs
+no library engine code, so only a change to the kernel or to
+tilted_rect::distance must recommit the baseline, and a slowdown anywhere
+in the engine shows in the calibrated values in full:
 
   * Per-repetition (seconds rows that carry "calib_ratio" on both sides):
-    micro_perf timed that reduce at n=512 right before every repetition
-    of the row and stored the median of (repetition / kernel) times; the
-    gate compares current calib_ratio against baseline calib_ratio.  Each
+    micro_perf timed the kernel right before every repetition of the row
+    and stored the median of (repetition / kernel) times; the gate
+    compares current calib_ratio against baseline calib_ratio.  Each
     ratio's halves ran milliseconds apart, so host-speed phases that last
     seconds cancel out.
   * Global (everything else, service_stream:t1:p95 included): the
-    engine_reduce:linear row's baseline/current time ratio estimates the
+    calibration:scan row's baseline/current time ratio estimates the
     machine-speed factor, and the current value is scaled by it.
 
-Pass --no-calibrate for raw wall-clock.
+A file without the calibration:scan row cannot be calibrated, so the gate
+refuses it (exit 2) instead of gating raw times under a "calibrated"
+label.  Pass --no-calibrate for raw wall-clock.
 
 Gated by default: the engine benches, the streamed single-worker p95
 per-request latency (service_stream:t1:p95 — one worker keeps the series
@@ -36,7 +40,7 @@ Multi-threaded service_batch / service_stream throughput, the fanned
 shard_reduce:thw series and the degrade_salvage clean/discard rows are
 reported but not gated (batch scheduling and shard fan-out depend on core
 count, not engine quality).  Exit codes: 0 ok, 1 regression, 2
-usage/missing data.
+usage/missing data (a missing calibration row included).
 """
 
 import argparse
@@ -47,7 +51,7 @@ GATED_DEFAULT = (
     "engine_reduce:grid,route_ast_windowed:grid,service_stream:t1:p95@0.5,"
     "nearest_pair:t1@0.2,shard_reduce:t1@0.2,degrade_salvage:salvage@0.25"
 )
-CALIBRATION_SERIES = ("engine_reduce", "linear")
+CALIBRATION_SERIES = ("calibration", "scan")
 
 
 def load(path):
@@ -85,15 +89,22 @@ def main():
 
     scale = 1.0
     if not args.no_calibrate:
+        label = ":".join(CALIBRATION_SERIES)
         n = pick_common_n(base, cur, CALIBRATION_SERIES)
-        if n is not None:
-            b = base[CALIBRATION_SERIES][n]["seconds"]
-            c = cur[CALIBRATION_SERIES][n]["seconds"]
-            if b > 0 and c > 0:
-                scale = b / c
-                print(f"calibration ({CALIBRATION_SERIES[0]}/"
-                      f"{CALIBRATION_SERIES[1]} @ n={n}): machine factor "
-                      f"{scale:.3f} (baseline {b:.4f}s / current {c:.4f}s)")
+        if n is None:
+            print(f"perf_diff: calibration series {label} missing from one "
+                  f"side; pass --no-calibrate to compare raw wall-clock",
+                  file=sys.stderr)
+            sys.exit(2)
+        b = base[CALIBRATION_SERIES][n]["seconds"]
+        c = cur[CALIBRATION_SERIES][n]["seconds"]
+        if not (b > 0 and c > 0):
+            print(f"perf_diff: calibration series {label} has no time at "
+                  f"n={n}", file=sys.stderr)
+            sys.exit(2)
+        scale = b / c
+        print(f"calibration ({label} @ n={n}): machine factor "
+              f"{scale:.3f} (baseline {b:.4f}s / current {c:.4f}s)")
 
     gated = []
     for spec in args.gate.split(","):

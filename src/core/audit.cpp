@@ -133,8 +133,8 @@ std::string verify_nn_records(const topo::clock_tree& t,
                               const std::vector<double>& nn_dist,
                               const std::unordered_set<std::uint64_t>& banned) {
     // A plain scan over a contiguous copy of the active arcs: shares no
-    // code with either NN backend, and stays cheap enough to run every
-    // 64th selection step.
+    // code with the grid, and stays cheap enough to run every 64th
+    // selection step.
     std::vector<geom::tilted_rect> arcs;
     arcs.reserve(active.size());
     for (const topo::node_id j : active) arcs.push_back(t.node(j).arc);

@@ -6,7 +6,7 @@
 /// hooks that invoke them in `ASTCLK_AUDIT` builds.
 ///
 /// The engine's headline guarantees — bit-identical trees across thread
-/// counts, backends, merge orders and shard counts; exact engine_stats
+/// counts, merge orders and shard counts; exact engine_stats
 /// accounting across cancellation unwinds — are exactly the properties
 /// that races and forgotten-counter bugs break *silently*: the suite
 /// stays green until a scheduler wobble flips a tie-break.  These
@@ -78,7 +78,7 @@ void checkpoint(const char* site, const std::string& diagnostic);
 [[nodiscard]] std::string verify_tree_structure(const topo::clock_tree& t,
                                                 std::size_t num_sinks);
 
-/// Grid backend vs live set (grid_index's core invariant): every active
+/// Grid index vs live set (grid_index's core invariant): every active
 /// root sits exactly once in each cell of its arc's range, and every cell
 /// holds only active ids whose arc's range covers that cell.
 [[nodiscard]] std::string verify_grid_vs_live_set(const grid_index& g,

@@ -7,12 +7,64 @@
 #include <cassert>
 #include <limits>
 #include <optional>
-#include <type_traits>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 
 namespace astclk::core {
+
+namespace {
+
+/// Memo of true plan costs keyed by symmetric pair key (pair_key,
+/// grid_index.hpp).  Lazy re-keying stores a pair's solved
+/// `merge_plan::cost` here the first time it exceeds the arc distance
+/// lower bound; subsequent selections of the pair are keyed by the
+/// cached true cost instead of re-solving the plan.  Entries for merged
+/// roots are never consulted again (node ids are unique), so no
+/// invalidation is needed within one engine run.  Only the cost is kept:
+/// a re-keyed pair selected a second time is solved again (DESIGN.md §3).
+class pair_cost_cache {
+  public:
+    void store(std::uint64_t key, double cost) {
+        costs_[key] = cost;
+        // Degree table for the lookup fast path; re-storing a key
+        // over-counts, which is harmless (the fast path only needs
+        // "nonzero whenever any entry involves the id").
+        const auto hi = static_cast<std::size_t>(key >> 32);
+        if (deg_.size() <= hi) deg_.resize(hi + 1, 0);
+        ++deg_[hi];
+        ++deg_[static_cast<std::size_t>(key & 0xffffffffu)];
+    }
+
+    /// The cached true cost, or nullopt when the pair was never re-keyed.
+    /// An entry for (a, b) can exist only if *both* ids were part of an
+    /// earlier re-key, so two array loads answer almost every probe the
+    /// hot set_nn path makes without walking the hash table (the pair key
+    /// packs both ids).
+    [[nodiscard]] std::optional<double> lookup(std::uint64_t key) const {
+        const auto hi = static_cast<std::size_t>(key >> 32);
+        if (hi >= deg_.size()) return std::nullopt;
+        if (deg_[hi] == 0 ||
+            deg_[static_cast<std::size_t>(key & 0xffffffffu)] == 0)
+            return std::nullopt;
+        const auto it = costs_.find(key);
+        if (it == costs_.end()) return std::nullopt;
+        return it->second;
+    }
+
+    /// Drop every entry (engine_scratch reuse between runs).
+    void clear() {
+        costs_.clear();
+        deg_.clear();
+    }
+
+  private:
+    std::unordered_map<std::uint64_t, double> costs_;
+    std::vector<std::uint32_t> deg_;  ///< id -> entries the id is part of
+};
+
+}  // namespace
 
 /// The buffers behind engine_scratch: everything a reduce run allocates
 /// that is independent of the instance being routed.  reset() fully
@@ -117,7 +169,7 @@ constexpr double kcost_slack = 1e-9;  // layout units
 using sel_entry = engine_scratch::impl::sel_entry;
 
 /// Inlined ban predicate (no std::function on the hot path): the packed
-/// pair key carries both endpoint ids (pair_key, nn_index.hpp), so the
+/// pair key carries both endpoint ids (pair_key, grid_index.hpp), so the
 /// live degree table short-circuits the hash walk whenever either endpoint
 /// has no ban with an active root — the common case, since bans accrue
 /// one rejected pair at a time while the NN loops probe every candidate
@@ -168,8 +220,8 @@ void ban_pair(engine_scratch::impl& s, topo::node_id a, topo::node_id b) {
 /// of a ban with `i` loses one live degree.  Over a run every edge is
 /// walked at most once per endpoint.  Both merge orders call this for
 /// every root they erase.
-template <class Index>
-void retire_bans(engine_scratch::impl& s, const Index& idx, topo::node_id i) {
+void retire_bans(engine_scratch::impl& s, const grid_index& idx,
+                 topo::node_id i) {
     const auto si = static_cast<std::size_t>(i);
     if (si >= s.ban_head.size()) return;
     for (std::uint32_t e = s.ban_head[si];
@@ -190,26 +242,21 @@ void retire_bans(engine_scratch::impl& s, const Index& idx, topo::node_id i) {
 ///    query qualifies;
 ///  * active - 1: every other active root is a banned partner, so there
 ///    is none, answered without a query;
-///  * at least half the active set (grid backend): one pass over the
-///    active set (grid_index::nearest_scan_if), since the ring walk
-///    would visit most roots anyway and meet a multi-cell arc once per
-///    cell;
+///  * at least half the active set: one pass over the active set
+///    (grid_index::nearest_scan_if), since the ring walk would visit most
+///    roots anyway and meet a multi-cell arc once per cell;
 ///  * otherwise the ring walk with the degree-pruned probe.
 /// Every branch returns the same answer.  `i` must be active.  Reads the
 /// ban state only, so concurrent queries between commits are safe.
-template <class Index>
 std::optional<std::pair<topo::node_id, double>> nearest_unbanned(
-    const Index& idx, const engine_scratch::impl& s, topo::node_id i,
+    const grid_index& idx, const engine_scratch::impl& s, topo::node_id i,
     nn_floor floor = {}) {
     assert(idx.slot_of(i) >= 0);
     const std::size_t deg = live_degree(s, i);
     if (deg == 0) return idx.nearest_if(i, no_bans{}, floor);
     if (deg + 1 == idx.size()) return std::nullopt;
     const ban_table_fast banned{&s.banned, &s.live_deg};
-    if constexpr (std::is_same_v<Index, grid_index>) {
-        if (2 * deg >= idx.size())
-            return idx.nearest_scan_if(i, banned, floor);
-    }
+    if (2 * deg >= idx.size()) return idx.nearest_scan_if(i, banned, floor);
     return idx.nearest_if(i, banned, floor);
 }
 
@@ -237,9 +284,8 @@ void note_plan(const merge_plan& p, double dist, engine_stats& st) {
 /// smaller distance wins): forced merges are rare endgame events with small
 /// active sets, and keeping the scan verbatim preserves bit-identical
 /// results with the pre-grid engine.
-template <class Index>
 std::pair<topo::node_id, topo::node_id> forced_nearest_pair(
-    const topo::clock_tree& t, const Index& idx) {
+    const topo::clock_tree& t, const grid_index& idx) {
     topo::node_id ba = topo::knull_node, bb = topo::knull_node;
     double bd = std::numeric_limits<double>::infinity();
     for (topo::node_id i : idx.active()) {
@@ -257,10 +303,8 @@ std::pair<topo::node_id, topo::node_id> forced_nearest_pair(
 }
 
 /// One nearest-pair reduction run: the heap-driven selection loop with
-/// incremental neighbour maintenance, templated over the NN backend so the
-/// ban predicate and distance loops fully inline for both.  All mutable
-/// run state lives in the borrowed engine_scratch::impl.
-template <class Index>
+/// incremental neighbour maintenance.  All mutable run state lives in the
+/// borrowed engine_scratch::impl.
 class nearest_reducer {
   public:
     nearest_reducer(const merge_solver& solver, const engine_options& opt,
@@ -349,9 +393,8 @@ class nearest_reducer {
                               s_.nn_dist));
         audit::checkpoint("selection/stats", audit::verify_stats_books(st_));
         if (step % 64 != 1) return;
-        if constexpr (std::is_same_v<Index, grid_index>)
-            audit::checkpoint("selection/grid",
-                              audit::verify_grid_vs_live_set(idx_, t_));
+        audit::checkpoint("selection/grid",
+                          audit::verify_grid_vs_live_set(idx_, t_));
         audit::checkpoint("selection/nn",
                           audit::verify_nn_records(t_, idx_.active(), s_.nn_to,
                                                    s_.nn_dist, s_.banned));
@@ -470,7 +513,7 @@ class nearest_reducer {
     ///   * starved roots: the new root is their only unbanned partner;
     ///   * roots within the influence radius of c's arc: fold c in when
     ///     strictly closer (ties keep the older, smaller id — exactly the
-    ///     backends' tie-break, since c has the largest id).
+    ///     index's tie-break, since c has the largest id).
     void integrate(topo::node_id a, topo::node_id b, topo::node_id c) {
         grow(c);
         auto& affected = s_.affected;
@@ -526,18 +569,8 @@ class nearest_reducer {
     topo::clock_tree& t_;
     engine_stats& st_;
     engine_scratch::impl& s_;
-    Index idx_;
+    grid_index idx_;
 };
-
-template <class Index>
-topo::node_id reduce_nearest_impl(const merge_solver& solver,
-                                  const engine_options& opt,
-                                  topo::clock_tree& t,
-                                  const std::vector<topo::node_id>& roots,
-                                  engine_stats& st, engine_scratch::impl& s) {
-    nearest_reducer<Index> r(solver, opt, t, roots, st, s);
-    return r.run();
-}
 
 /// Edahiro-style multi-merge rounds.  Per round, the nearest-neighbour
 /// queries are pure reads over the tree and index and fan out across the
@@ -549,13 +582,12 @@ topo::node_id reduce_nearest_impl(const merge_solver& solver,
 /// read offsets that earlier commits of the same round bind.  Commits are
 /// always applied sequentially in the deterministic (d, a, b) candidate
 /// order, so threaded rounds are bit-identical to sequential ones.
-template <class Index>
 topo::node_id reduce_multi_impl(const merge_solver& solver,
                                 const engine_options& opt,
                                 topo::clock_tree& t,
                                 const std::vector<topo::node_id>& roots,
                                 engine_stats& st, engine_scratch::impl& s) {
-    Index idx(&t, roots);
+    grid_index idx(&t, roots);
     s.clear_bans();
     task_executor* exec = opt.executor;
     // Pre-solving a round's plans before any of its commits is exact for
@@ -606,7 +638,7 @@ topo::node_id reduce_multi_impl(const merge_solver& solver,
 
         // Mutually nearest pairs, cheapest first (Edahiro's multi-merge);
         // full (d, a, b) ordering keeps rounds deterministic across
-        // backends, thread counts and runs.
+        // thread counts and runs.
         cands.clear();
         for (std::size_t k = 0; k < m; ++k) {
             const auto [j, d] = nn[k];
@@ -684,14 +716,9 @@ topo::node_id bottom_up_engine::reduce(topo::clock_tree& t,
         scratch = own.get();
     }
     engine_scratch::impl& s = scratch->state();
-    if (opt_.order == merge_order::multi_merge) {
-        if (opt_.backend == nn_backend::linear)
-            return reduce_multi_impl<nn_index>(solver_, opt_, t, roots, st, s);
-        return reduce_multi_impl<grid_index>(solver_, opt_, t, roots, st, s);
-    }
-    if (opt_.backend == nn_backend::linear)
-        return reduce_nearest_impl<nn_index>(solver_, opt_, t, roots, st, s);
-    return reduce_nearest_impl<grid_index>(solver_, opt_, t, roots, st, s);
+    if (opt_.order == merge_order::multi_merge)
+        return reduce_multi_impl(solver_, opt_, t, roots, st, s);
+    return nearest_reducer(solver_, opt_, t, roots, st, s).run();
 }
 
 }  // namespace astclk::core

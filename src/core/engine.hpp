@@ -17,11 +17,12 @@
 ///     merged per round, cutting nearest-neighbour recomputations.
 ///
 /// The hot path is sub-quadratic by construction:
-///   * nearest-neighbour queries go through a uniform spatial grid over the
-///     arc boxes (grid_index; ring expansion with the arc-distance lower
-///     bound, reading each candidate's arc from the tree), with the
-///     exact linear scan (nn_index) selectable as a verification backend
-///     via `engine_options::backend`;
+///   * nearest-neighbour queries go through one index, a uniform spatial
+///     grid over the arc boxes (grid_index; ring expansion with the
+///     arc-distance lower bound, reading each candidate's arc from the
+///     tree).  Its reference implementations — a plain scan and a reducer
+///     that applies the merge order by its definition — live in the tests
+///     as oracles, not here;
 ///   * every root carries a live ban degree — its banned pairs whose
 ///     partner is still active, kept exact by walking a flat ban-edge
 ///     list once when a root merges away — and one function picks each
@@ -66,7 +67,6 @@
 #include "core/executor.hpp"
 #include "core/grid_index.hpp"
 #include "core/merge_solver.hpp"
-#include "core/nn_index.hpp"
 #include "topo/tree.hpp"
 
 #include <algorithm>
@@ -81,20 +81,11 @@ enum class merge_order {
     multi_merge,      ///< all mutually nearest pairs per round (V-F.1)
 };
 
-/// Nearest-neighbour backend.  Both return bit-identical answers (same
-/// deterministic id tie-breaks); `linear` is the exact-by-construction
-/// reference kept for verification and ablation.
-enum class nn_backend {
-    grid,    ///< uniform spatial grid, ring expansion (sub-quadratic)
-    linear,  ///< tuned linear scan (the seed implementation)
-};
-
 struct engine_options {
     merge_order order = merge_order::nearest_pair;
     /// Re-key popped pairs with their true plan cost before committing;
     /// disabling reverts to pure arc-distance ordering (ablation knob).
     bool true_cost_ordering = true;
-    nn_backend backend = nn_backend::grid;
     /// Optional worker pool (non-owning; null runs sequentially).  It
     /// drives three things: multi-merge rounds, whose nearest-neighbour
     /// queries fan out, and so do the plan() calls when the solver carries

@@ -5,6 +5,25 @@
 
 namespace astclk::core {
 
+void active_set::insert(topo::node_id id) {
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= pos_.size()) pos_.resize(i + 1, knull_slot);
+    assert(pos_[i] == knull_slot);
+    pos_[i] = static_cast<std::int32_t>(items_.size());
+    items_.push_back(id);
+}
+
+void active_set::erase(topo::node_id id) {
+    const auto i = static_cast<std::size_t>(id);
+    assert(i < pos_.size() && pos_[i] != knull_slot);
+    const auto slot = static_cast<std::size_t>(pos_[i]);
+    const topo::node_id moved = items_.back();
+    items_[slot] = moved;
+    items_.pop_back();
+    pos_[static_cast<std::size_t>(moved)] = static_cast<std::int32_t>(slot);
+    pos_[i] = knull_slot;
+}
+
 grid_index::grid_index(const topo::clock_tree* tree,
                        const std::vector<topo::node_id>& roots)
     : tree_(tree) {

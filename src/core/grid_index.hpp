@@ -1,8 +1,18 @@
 #pragma once
 
 /// \file grid_index.hpp
-/// Uniform spatial grid nearest-neighbour backend over active subtree
-/// roots — the sub-quadratic replacement for nn_index's linear scan.
+/// The engine's nearest-neighbour index over active subtree roots: a
+/// uniform spatial grid, and the index vocabulary the engine shares with
+/// it (pair keys, ban predicates, query floors and the active set whose
+/// slot order is the engine's selection tie-break).
+///
+/// Greedy-DME, greedy-BST and AST-DME all repeatedly merge the pair of
+/// active roots with minimum merging cost; the arc (Manhattan) distance is
+/// an admissible lower bound on that cost (snaking only adds wire), so the
+/// engine queries by distance and lazily re-keys with the true plan cost.
+/// The grid answers those queries exactly: every answer equals the
+/// definition — the lexicographic minimum (distance, id) over the active
+/// roots — which the tests check against a plain scan.
 ///
 /// Arcs are tilted_rects: axis-aligned boxes in tilted (u, v) space whose
 /// pairwise distance is the L-infinity gap — so a uniform grid over (u, v)
@@ -29,8 +39,8 @@
 /// cell, a candidate is always discovered at the ring of its closest
 /// cell.  Rings are scanned to `lb <= best` (not `<`) so equal-distance
 /// candidates in farther rings still participate in the deterministic
-/// `other < best` tie-break — the grid returns bit-identical answers to
-/// nn_index.
+/// `other < best` tie-break, so the answer is the exact (distance, id)
+/// minimum.
 ///
 /// **Ring bound with margin.**  The bound for ring r >= 1 is
 /// (r-1) * cell + m, where m is the query arc's distance to the nearest
@@ -76,7 +86,6 @@
 /// active root's arc is the one it was registered under, and `erase`
 /// recomputes the cells to leave from it.
 
-#include "core/nn_index.hpp"
 #include "topo/tree.hpp"
 
 #include <algorithm>
@@ -87,6 +96,57 @@
 #include <vector>
 
 namespace astclk::core {
+
+/// Symmetric pair key for ban lists / cost caches.
+[[nodiscard]] inline std::uint64_t pair_key(topo::node_id a, topo::node_id b) {
+    const std::uint32_t lo = static_cast<std::uint32_t>(std::min(a, b));
+    const std::uint32_t hi = static_cast<std::uint32_t>(std::max(a, b));
+    return (static_cast<std::uint64_t>(hi) << 32) | lo;
+}
+
+/// Predicate accepting every pair — the "no bans" case, fully inlined.
+struct no_bans {
+    [[nodiscard]] bool operator()(std::uint64_t) const { return false; }
+};
+
+/// Lexicographic floor of a nearest_if query: candidates whose
+/// (distance, id) is at or below (d, id) are skipped before any ban probe.
+/// The engine passes a root's previous record after banning that record's
+/// partner, because every candidate at or below it is then known to be
+/// banned (engine.cpp).  The default admits every candidate: distances are
+/// never negative.
+struct nn_floor {
+    double d = -1.0;
+    topo::node_id id = topo::knull_node;
+    [[nodiscard]] bool admits(double cd, topo::node_id cid) const {
+        return cd > d || (cd == d && cid > id);
+    }
+};
+
+/// Swap-and-pop set of active root ids with an id -> slot map (node ids
+/// are dense arena indices, so a flat vector beats hashing; erase is O(1)).
+/// The slot order is the engine's selection tie-break: equal-key
+/// candidates resolve by their owner's slot, so anything that must
+/// reproduce the engine's merge order (the tests' reference reducer)
+/// replays the same insert/erase sequence on this one implementation.
+class active_set {
+  public:
+    void insert(topo::node_id id);
+    void erase(topo::node_id id);
+
+    [[nodiscard]] const std::vector<topo::node_id>& items() const {
+        return items_;
+    }
+    [[nodiscard]] std::size_t size() const { return items_.size(); }
+    [[nodiscard]] std::int32_t slot_of(topo::node_id id) const {
+        return pos_[static_cast<std::size_t>(id)];
+    }
+
+  private:
+    std::vector<topo::node_id> items_;
+    std::vector<std::int32_t> pos_;  ///< id -> slot, knull_slot if inactive
+    static constexpr std::int32_t knull_slot = -1;
+};
 
 namespace audit {
 struct grid_inspector;
@@ -106,8 +166,8 @@ class grid_index {
     }
     [[nodiscard]] std::size_t size() const { return set_.size(); }
 
-    /// Slot of an active id in `active()`; identical contract to
-    /// nn_index::slot_of (both backends share the active_set bookkeeping).
+    /// Slot of an active id in `active()` — the engine's selection
+    /// tie-break (see active_set).
     [[nodiscard]] std::int32_t slot_of(topo::node_id id) const {
         return set_.slot_of(id);
     }
@@ -121,9 +181,10 @@ class grid_index {
     [[nodiscard]] int cells_v() const { return nv_; }
 
     /// Nearest active root to `id` by arc distance, skipping `id` itself,
-    /// banned partners and candidates at or below `floor`; identical
-    /// contract (including id tie-breaks) to nn_index::nearest_if.
-    /// Bit-identical to the linear scan:
+    /// banned partners (`banned(pair_key)` true) and candidates at or
+    /// below `floor`.  Ties on equal distance break towards the smaller
+    /// id; nullopt when no candidate remains.  Bit-identical to a scan of
+    /// the active set by `tilted_rect::distance`:
     ///  * the walk visits every cell of each ring and folds a strict
     ///    lexicographic min over (distance, id) — visit-order independent —
     ///    and the post-ring best that drives the ring-bound early exit is

@@ -44,61 +44,11 @@
 #include "topo/group_map.hpp"
 #include "topo/tree.hpp"
 
-#include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace astclk::core {
-
-/// Memo of true plan costs keyed by symmetric pair key (see pair_key in
-/// nn_index.hpp).  The engine's lazy re-keying stores a pair's solved
-/// `merge_plan::cost` here the first time it exceeds the arc distance
-/// lower bound; subsequent selections of the pair are keyed by the
-/// cached true cost instead of re-solving the plan.  Entries for merged
-/// roots are never consulted again (node ids are unique), so no
-/// invalidation is needed within one engine run.  Only the cost is kept:
-/// a re-keyed pair popped a second time is solved again (DESIGN.md §3).
-class pair_cost_cache {
-  public:
-    void store(std::uint64_t key, double cost) {
-        costs_[key] = cost;
-        // Degree table for the lookup fast path; re-storing a key
-        // over-counts, which is harmless (the fast path only needs
-        // "nonzero whenever any entry involves the id").
-        const auto hi = static_cast<std::size_t>(key >> 32);
-        if (deg_.size() <= hi) deg_.resize(hi + 1, 0);
-        ++deg_[hi];
-        ++deg_[static_cast<std::size_t>(key & 0xffffffffu)];
-    }
-
-    /// The cached true cost, or nullopt when the pair was never re-keyed.
-    /// An entry for (a, b) can exist only if *both* ids were part of an
-    /// earlier re-key, so two array loads answer almost every probe the
-    /// hot set_nn / pop paths make without walking the hash table (the
-    /// pair key packs both ids — pair_key in nn_index.hpp).
-    [[nodiscard]] std::optional<double> lookup(std::uint64_t key) const {
-        const auto hi = static_cast<std::size_t>(key >> 32);
-        if (hi >= deg_.size()) return std::nullopt;
-        if (deg_[hi] == 0 ||
-            deg_[static_cast<std::size_t>(key & 0xffffffffu)] == 0)
-            return std::nullopt;
-        const auto it = costs_.find(key);
-        if (it == costs_.end()) return std::nullopt;
-        return it->second;
-    }
-
-    /// Drop every entry (engine_scratch reuse between runs).
-    void clear() {
-        costs_.clear();
-        deg_.clear();
-    }
-
-  private:
-    std::unordered_map<std::uint64_t, double> costs_;
-    std::vector<std::uint32_t> deg_;  ///< id -> entries the id is part of
-};
 
 /// Intra-group skew bounds (seconds).  `default_bound` applies to every
 /// group without an override.  Zero bounds give classic zero-skew behaviour.

@@ -130,12 +130,10 @@ struct router_options {
     /// service re-verifies degraded trees under it.
     rc::delay_model model = rc::delay_model::elmore();
     /// Engine knobs, forwarded to every reduce run of the route: merge
-    /// order, true-cost re-keying, sharding (`engine.shards`, DESIGN.md
-    /// §4) and the nearest-neighbour backend (`engine.backend` — grid by
-    /// default, `nn_backend::linear` for the exact-scan verification
-    /// backend).  The backend moves wall-clock only; trees are identical
-    /// under either setting.  How plans are solved is not a knob: every
-    /// merge is planned by `merge_solver::plan`.
+    /// order, true-cost re-keying and sharding (`engine.shards`, DESIGN.md
+    /// §4).  How pairs are found and plans solved is not a knob: every
+    /// nearest-neighbour query goes through `grid_index` and every merge
+    /// is planned by `merge_solver::plan`.
     engine_options engine;
 };
 

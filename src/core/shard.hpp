@@ -21,8 +21,8 @@
 /// the sink index), every shard reduce is a sequential engine run over a
 /// private arena, shard trees are grafted into the final arena in
 /// partition order, and the stitch is the ordinary deterministic engine —
-/// so a fixed shard count yields bit-identical trees across thread counts
-/// and NN backends.  The default `engine_options::shards == 1` bypasses
+/// so a fixed shard count yields bit-identical trees across thread
+/// counts.  The default `engine_options::shards == 1` bypasses
 /// this path entirely and is bit-identical to previous releases.
 
 #include "core/route_context.hpp"

@@ -9,6 +9,13 @@ std::string instance::validate() const {
     std::ostringstream err;
     if (sinks.empty()) return "instance has no sinks";
     if (num_groups <= 0) return "num_groups must be positive";
+    // Every group needs a sink, so a larger count is invalid before
+    // anything is sized by it: it is untrusted input.
+    if (static_cast<std::size_t>(num_groups) > sinks.size()) {
+        err << "num_groups " << num_groups << " exceeds the sink count "
+            << sinks.size() << " (every group needs a sink)";
+        return err.str();
+    }
     if (!std::isfinite(source.x) || !std::isfinite(source.y))
         return "source has a non-finite coordinate";
     std::vector<int> members(static_cast<std::size_t>(num_groups), 0);

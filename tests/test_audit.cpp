@@ -21,6 +21,8 @@
 #include "gen/grouping.hpp"
 #include "gen/instance_gen.hpp"
 
+#include "oracle.hpp"
+
 #include <gtest/gtest.h>
 
 #include <string>
@@ -225,17 +227,13 @@ struct record_fixture {
             active.push_back(t.add_leaf(inst, static_cast<std::int32_t>(i)));
         // Ban every 7th leaf's nearest pair, so some records skip a
         // closer, banned partner.
-        const nn_index lin(&t, active);
         for (std::size_t k = 0; k < active.size(); k += 7)
-            banned.insert(
-                pair_key(active[k], lin.nearest_if(active[k], no_bans{})->first));
+            banned.insert(pair_key(
+                active[k], oracle::scan_nearest(t, active, active[k])->first));
         nn_to.assign(t.size(), topo::knull_node);
         nn_dist.assign(t.size(), 0.0);
-        const auto probe = [this](std::uint64_t k) {
-            return banned.count(k) != 0;
-        };
         for (const topo::node_id i : active) {
-            const auto n = lin.nearest_if(i, probe);
+            const auto n = oracle::scan_nearest(t, active, i, banned);
             const auto si = static_cast<std::size_t>(i);
             nn_to[si] = n->first;
             nn_dist[si] = n->second;

@@ -1,10 +1,10 @@
-// Tests for the top-down embedder, the nearest-neighbour index, and the
-// bottom-up engine mechanics that the router-level tests exercise only
-// indirectly.
+// Tests for the top-down embedder, the nearest-neighbour index's basic
+// contract, and the bottom-up engine mechanics that the router-level tests
+// exercise only indirectly.
 
 #include "core/embedder.hpp"
 #include "core/engine.hpp"
-#include "core/nn_index.hpp"
+#include "core/grid_index.hpp"
 #include "core/router.hpp"
 #include "gen/patterns.hpp"
 
@@ -27,8 +27,9 @@ TEST(NnIndex, FindsNearestByArcDistance) {
                   {{3, 1}, 1e-15, 0},
                   {{50, 50}, 1e-15, 0}};
     clock_tree t;
-    nn_index idx(&t);
-    for (int i = 0; i < 4; ++i) idx.insert(t.add_leaf(inst, i));
+    std::vector<node_id> roots;
+    for (int i = 0; i < 4; ++i) roots.push_back(t.add_leaf(inst, i));
+    const grid_index idx(&t, roots);
     const auto nn = idx.nearest_if(0, no_bans{});
     ASSERT_TRUE(nn.has_value());
     EXPECT_EQ(nn->first, 2);  // (3,1) at distance 4
@@ -42,8 +43,9 @@ TEST(NnIndex, RespectsBansAndErasure) {
                   {{1, 0}, 1e-15, 0},
                   {{5, 0}, 1e-15, 0}};
     clock_tree t;
-    nn_index idx(&t);
-    for (int i = 0; i < 3; ++i) idx.insert(t.add_leaf(inst, i));
+    std::vector<node_id> roots;
+    for (int i = 0; i < 3; ++i) roots.push_back(t.add_leaf(inst, i));
+    grid_index idx(&t, roots);
     const auto banned = [](std::uint64_t k) { return k == pair_key(0, 1); };
     const auto nn = idx.nearest_if(0, banned);
     ASSERT_TRUE(nn.has_value());

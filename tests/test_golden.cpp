@@ -5,15 +5,16 @@
 // per-cell distance fold-in — so there is no second path to compare
 // against at run time.  Instead:
 //
-//  * golden tree fingerprints: r1–r5 x k {4, 6} x fourteen router
+//  * golden tree fingerprints: r1–r5 x k {4, 6} x thirteen router
 //    configurations (windowed 0/5 ps, automatic 0/5 ps, soft ledger,
-//    multi-merge windowed/automatic, linear backend, 4 shards, auto shards
-//    and windowed zero skew on 3 threads, EXT-BST 10 ps, ZST,
-//    separate-stitch) plus the l1 placement at 5000 sinks (windowed zero
-//    skew at k = 6, and at k = 8 under grouping seeds 1 and 2 — the
-//    rejection-heavy shapes of the difficult_mono benchmark), each pinned
-//    to wirelength, merges, rejected and forced pairs, the snake-wire bits
-//    and a hash of every node's children, arc endpoints and edge lengths.
+//    multi-merge windowed/automatic, 4 shards, auto shards and windowed
+//    zero skew on 3 threads, EXT-BST 10 ps, ZST, separate-stitch) plus
+//    the l1 placement at 5000 sinks (windowed zero skew at k = 6, and at
+//    k = 8 under grouping seeds 1 and 2 — the rejection-heavy shapes of
+//    the difficult_mono benchmark), 133 rows,
+//    each pinned to wirelength, merges, rejected and forced pairs, the
+//    snake-wire bits and a hash of every node's children, arc endpoints
+//    and edge lengths.
 //    The values were captured from the engine while it still carried a
 //    separate scalar reference kernel (both kernels built these exact
 //    trees; the automatic 5 ps rows, which route the soft ledger at a
@@ -22,12 +23,17 @@
 //    merge-order semantics moved;
 //  * the reference wirelengths (r1/r3/r5, intermingled k=6, grouping seed
 //    1, windowed AST);
-//  * a soft-ledger route on the grid backend is identical to the same
-//    route on the linear-scan backend.
+//  * the reference reducer (tests/oracle.hpp), which applies the
+//    nearest-pair merge order by its definition with none of the engine's
+//    selection machinery, reproduces the pinned r1 and r2 rows of the
+//    nearest-pair configurations it covers — r2's with rejections and
+//    forced merges.
 
 #include "core/route_service.hpp"
 #include "gen/grouping.hpp"
 #include "gen/instance_gen.hpp"
+
+#include "oracle.hpp"
 
 #include <gtest/gtest.h>
 
@@ -60,7 +66,6 @@ enum class config {
     soft,             ///< AST soft ledger
     multi_windowed,   ///< multi-merge rounds, windowed
     multi_automatic,  ///< multi-merge rounds, automatic
-    linear,           ///< windowed on the linear-scan NN backend
     shards4,          ///< windowed, 4 shards
     shards_auto_t3,   ///< windowed, auto shards, 3 service threads
     windowed0_t3,     ///< windowed, zero skew, 3 service threads
@@ -69,13 +74,12 @@ enum class config {
     separate,         ///< separate trees per group, stitched
 };
 
-route_result route_config(const topo::instance& inst, config c) {
+routing_request golden_request(const topo::instance& inst, config c) {
     routing_request r;
     r.instance = &inst;
     r.strategy = strategy_id::ast_dme;
     r.mode = ast_mode::windowed;
     engine_options& e = r.options.engine;
-    int threads = 1;
     switch (c) {
         case config::windowed0: break;
         case config::windowed5: r.spec = skew_spec::uniform(5e-12); break;
@@ -90,13 +94,9 @@ route_result route_config(const topo::instance& inst, config c) {
             e.order = merge_order::multi_merge;
             r.mode = ast_mode::automatic;
             break;
-        case config::linear: e.backend = nn_backend::linear; break;
         case config::shards4: e.shards = 4; break;
-        case config::shards_auto_t3:
-            e.shards = 0;
-            threads = 3;
-            break;
-        case config::windowed0_t3: threads = 3; break;
+        case config::shards_auto_t3: e.shards = 0; break;
+        case config::windowed0_t3: break;
         case config::ext_bst10:
             r.strategy = strategy_id::ext_bst;
             r.spec = skew_spec::uniform(10e-12);
@@ -104,9 +104,17 @@ route_result route_config(const topo::instance& inst, config c) {
         case config::zst: r.strategy = strategy_id::zst_dme; break;
         case config::separate: r.strategy = strategy_id::separate_stitch; break;
     }
-    if (threads == 1) return route(r);
+    return r;
+}
+
+/// Routes configuration `c`: the `_t3` configurations on a 3-thread
+/// service, every other one by a direct route() call.
+route_result route_config(const topo::instance& inst, config c) {
+    const routing_request r = golden_request(inst, c);
+    if (c != config::shards_auto_t3 && c != config::windowed0_t3)
+        return route(r);
     service_options sopt;
-    sopt.threads = threads;
+    sopt.threads = 3;
     route_service svc(sopt);
     return svc.route_batch({r})[0];
 }
@@ -171,8 +179,6 @@ const golden_row kgolden[] = {
      0x410aa6ab96687c75ULL, 0x657f29288f376350ULL},
     {"r1", 4, config::multi_automatic, 2057016.905251391, 266, 0, 0,
      0x410aa6ab96687c29ULL, 0x1c9c2efae497ca5aULL},
-    {"r1", 4, config::linear, 2045461.1189194699, 266, 0, 0,
-     0x41031072a807eebbULL, 0x3ed5ed0c0b04c6bfULL},
     {"r1", 4, config::shards4, 2011965.9349161771, 266, 0, 0,
      0x40f15516e1ad0c34ULL, 0x8f6880871a0f2c0cULL},
     {"r1", 4, config::shards_auto_t3, 2045461.1189194699, 266, 0, 0,
@@ -199,8 +205,6 @@ const golden_row kgolden[] = {
      0x410aa6ab96687c5cULL, 0x490c80b0c1532b41ULL},
     {"r1", 6, config::multi_automatic, 2057016.9052513898, 266, 0, 0,
      0x410aa6ab96687c4eULL, 0x2737208164d9c528ULL},
-    {"r1", 6, config::linear, 2045645.3561072454, 266, 0, 0,
-     0x41031044ffadfa61ULL, 0x0192da71ffbf3e7aULL},
     {"r1", 6, config::shards4, 2011848.5260362253, 266, 0, 0,
      0x40f14a7b62919f72ULL, 0x385b0506d9b2878fULL},
     {"r1", 6, config::shards_auto_t3, 2045645.3561072454, 266, 0, 0,
@@ -227,8 +231,6 @@ const golden_row kgolden[] = {
      0x41127d0c78e32b8dULL, 0x2e99a69d57e5def7ULL},
     {"r2", 4, config::multi_automatic, 3143988.7370736883, 597, 0, 0,
      0x410f449480c8654eULL, 0x0f7085463d9d4c5eULL},
-    {"r2", 4, config::linear, 3411882.095016432, 597, 36, 3,
-     0x411ab0736b7075b6ULL, 0xbd88041bef874c0fULL},
     {"r2", 4, config::shards4, 3593275.9539813087, 597, 47, 7,
      0x4117db36051ce2a5ULL, 0x18b06bd25e049d9cULL},
     {"r2", 4, config::shards_auto_t3, 3411882.095016432, 597, 36, 3,
@@ -255,8 +257,6 @@ const golden_row kgolden[] = {
      0x4104cad7bcddeb3eULL, 0x2c6d44bad40c612dULL},
     {"r2", 6, config::multi_automatic, 3143988.7370736892, 597, 0, 0,
      0x410f449480c86526ULL, 0x131c38852d20af6bULL},
-    {"r2", 6, config::linear, 3418682.896439366, 597, 69, 4,
-     0x41187e72d70ad2fcULL, 0xc2df12d0644bf146ULL},
     {"r2", 6, config::shards4, 3459178.4714364219, 597, 35, 6,
      0x41113754498af9c1ULL, 0x616492a33f2a5cb6ULL},
     {"r2", 6, config::shards_auto_t3, 3418682.896439366, 597, 69, 4,
@@ -283,8 +283,6 @@ const golden_row kgolden[] = {
      0x411fd154c055fea2ULL, 0x403c6a5e750d5993ULL},
     {"r3", 4, config::multi_automatic, 3696355.0998965073, 861, 0, 0,
      0x4112285656d2da47ULL, 0x7d7eff07738f0e87ULL},
-    {"r3", 4, config::linear, 4070287.8595847595, 861, 51, 4,
-     0x411a7bb02e9ce812ULL, 0x12722b2a9f7e8e76ULL},
     {"r3", 4, config::shards4, 4192867.3890361791, 861, 31, 5,
      0x4114a0df87eabc69ULL, 0xf2f606d621fe69feULL},
     {"r3", 4, config::shards_auto_t3, 4070287.8595847595, 861, 51, 4,
@@ -311,8 +309,6 @@ const golden_row kgolden[] = {
      0x41191c12c432c35bULL, 0xf9d522a54687f36eULL},
     {"r3", 6, config::multi_automatic, 3696355.0998965073, 861, 0, 0,
      0x4112285656d2da56ULL, 0xb9d367b6ebfb2f31ULL},
-    {"r3", 6, config::linear, 5183649.4927426297, 861, 121, 6,
-     0x41375a73f7d75ba0ULL, 0x55f6b7c5ec222f39ULL},
     {"r3", 6, config::shards4, 4541980.8595850756, 861, 91, 10,
      0x41250127e5466873ULL, 0x770704ee43f4aa94ULL},
     {"r3", 6, config::shards_auto_t3, 5183649.4927426297, 861, 121, 6,
@@ -339,8 +335,6 @@ const golden_row kgolden[] = {
      0x4124bbee82d44599ULL, 0xf7e531706f087ae6ULL},
     {"r4", 4, config::multi_automatic, 5473669.6364594931, 1902, 0, 0,
      0x410c5f92e7d3f2c0ULL, 0xe7b7f65b6b99d1e5ULL},
-    {"r4", 4, config::linear, 7819235.5193007831, 1902, 211, 8,
-     0x4140e59e12b0a59fULL, 0xf5a5c2396a02a30aULL},
     {"r4", 4, config::shards4, 6798188.183459579, 1902, 113, 10,
      0x4131d71157a03e38ULL, 0xf30f699da4a6dd13ULL},
     {"r4", 4, config::shards_auto_t3, 6798188.183459579, 1902, 113, 10,
@@ -367,8 +361,6 @@ const golden_row kgolden[] = {
      0x413034539c14393cULL, 0xa50cdb1c5234b225ULL},
     {"r4", 6, config::multi_automatic, 5473669.6364594912, 1902, 0, 0,
      0x410c5f92e7d3f2c2ULL, 0x3e39e23528823121ULL},
-    {"r4", 6, config::linear, 8945721.3514867574, 1902, 700, 19,
-     0x4148ff0766674dd6ULL, 0x8dce13ec192eadc7ULL},
     {"r4", 6, config::shards4, 7002901.0924022524, 1902, 387, 25,
      0x4132cd7108c9308bULL, 0x872bd3ef8ee0ee21ULL},
     {"r4", 6, config::shards_auto_t3, 7002901.0924022524, 1902, 387, 25,
@@ -395,8 +387,6 @@ const golden_row kgolden[] = {
      0x41330dc7259e6473ULL, 0x0be9ad553e172e62ULL},
     {"r5", 4, config::multi_automatic, 7060094.0118431468, 3100, 0, 0,
      0x41169b70bc7f7031ULL, 0x59a9b7684da56e9dULL},
-    {"r5", 4, config::linear, 9632507.7963693608, 3100, 569, 16,
-     0x4142c9ea6075c861ULL, 0x0ed88bd31a6266daULL},
     {"r5", 4, config::shards4, 8838090.1342758462, 3100, 309, 18,
      0x413698680e99708aULL, 0x2416157c23891078ULL},
     {"r5", 4, config::shards_auto_t3, 8797340.2696179692, 3100, 257, 21,
@@ -423,8 +413,6 @@ const golden_row kgolden[] = {
      0x413935a54f615abaULL, 0xd355d1d825c65caaULL},
     {"r5", 6, config::multi_automatic, 7060094.0118431514, 3100, 0, 0,
      0x41169b70bc7f7013ULL, 0xb7eafa618ab9cc12ULL},
-    {"r5", 6, config::linear, 8998270.1656338405, 3100, 1918, 36,
-     0x413934ee9b5d5cd6ULL, 0xdd9d0d44226eac57ULL},
     {"r5", 6, config::shards4, 9478001.5179762542, 3100, 776, 37,
      0x413f611dd86d3226ULL, 0xd30ed03153fc7602ULL},
     {"r5", 6, config::shards_auto_t3, 9922278.2938309349, 3100, 728, 42,
@@ -497,27 +485,39 @@ TEST(Golden, ReferenceWirelengths) {
     }
 }
 
-// ------------------------------------------------------------- soft ledger
+// ---------------------------------------------------- reference reducer
 
-TEST(Golden, SoftLedgerGridMatchesLinearScan) {
-    const auto inst = paper_instance("r2", 6);
-    routing_request req;
-    req.instance = &inst;
-    req.strategy = strategy_id::ast_dme;
-    req.mode = ast_mode::soft_ledger;
-    const auto got = route(req);
-    req.options.engine.backend = nn_backend::linear;
-    const auto ref = route(req);
-    ASSERT_TRUE(got.ok()) << got.status_message;
-    ASSERT_TRUE(ref.ok()) << ref.status_message;
-    // The grid queries run the ring walk and the per-cell fold-in; the
-    // linear scan is the oracle for both.
-    EXPECT_EQ(got.wirelength, ref.wirelength);
-    EXPECT_EQ(got.stats.merges, ref.stats.merges);
-    EXPECT_EQ(got.stats.rejected_pairs, ref.stats.rejected_pairs);
-    EXPECT_EQ(got.stats.forced_merges, ref.stats.forced_merges);
-    EXPECT_EQ(bits(got.stats.snake_wire), bits(ref.stats.snake_wire));
-    EXPECT_EQ(tree_hash(got.tree), tree_hash(ref.tree));
+TEST(Golden, ReferenceReducerReproducesPinnedRows) {
+    // The definition of the nearest-pair order, run on the r1 and r2 rows
+    // of every single-front nearest-pair configuration it covers, must
+    // land on the values captured from the engine.
+    int rows = 0, rejected = 0, forced = 0;
+    for (const golden_row& g : kgolden) {
+        const std::string name = g.instance;
+        if (name != "r1" && name != "r2") continue;
+        if (g.cfg != config::windowed0 && g.cfg != config::windowed5 &&
+            g.cfg != config::automatic && g.cfg != config::automatic5 &&
+            g.cfg != config::soft)
+            continue;
+        const auto inst = paper_instance(g.instance, g.groups);
+        const route_result r =
+            oracle::reference_reduce(golden_request(inst, g.cfg));
+        const std::string what = name + " k=" + std::to_string(g.groups) +
+                                 " config " +
+                                 std::to_string(static_cast<int>(g.cfg));
+        EXPECT_EQ(r.wirelength, g.wirelength) << what;
+        EXPECT_EQ(r.stats.merges, g.merges) << what;
+        EXPECT_EQ(r.stats.rejected_pairs, g.rejected) << what;
+        EXPECT_EQ(r.stats.forced_merges, g.forced) << what;
+        EXPECT_EQ(bits(r.stats.snake_wire), g.snake_wire_bits) << what;
+        EXPECT_EQ(tree_hash(r.tree), g.tree) << what;
+        ++rows;
+        rejected += g.rejected;
+        forced += g.forced;
+    }
+    EXPECT_EQ(rows, 20);
+    EXPECT_GT(rejected, 0);
+    EXPECT_GT(forced, 0);
 }
 
 }  // namespace

@@ -1,19 +1,31 @@
-// Grid-backend equivalence: the spatial grid index must answer exactly the
-// same nearest-neighbour queries (same partner id, same distance, same
-// deterministic tie-breaks) as the linear verification scan, and the full
-// engine must produce identical trees under either backend.
+// The engine's one nearest-neighbour index against the definitions
+// (tests/oracle.hpp):
+//
+//  * index level: `nearest_if` (ring walk) and `nearest_scan_if` answer
+//    every query — same partner id, same distance, same deterministic
+//    tie-breaks — like `scan_nearest`, under bans, floors, churn and
+//    occupancy-adaptive rebuilds, and `for_each_within` reports every
+//    active root within the radius with its exact distance;
+//  * engine level: the nearest-pair engine builds the tree that
+//    `reference_reduce` builds by the merge order's definition, so the
+//    engine's records, heaps, ban bookkeeping, rejection floors and
+//    post-commit fold-in are checked against a reducer that has none of
+//    them.
 
 #include "core/audit.hpp"
 #include "core/engine.hpp"
 #include "core/grid_index.hpp"
-#include "core/nn_index.hpp"
 #include "core/router.hpp"
-#include "eval/report.hpp"
+#include "core/strategy.hpp"
 #include "gen/grouping.hpp"
 #include "gen/instance_gen.hpp"
 #include "gen/rng.hpp"
 
+#include "oracle.hpp"
+
 #include <gtest/gtest.h>
+
+#include <bit>
 
 #include <cmath>
 #include <limits>
@@ -23,6 +35,8 @@
 namespace astclk::core {
 namespace {
 
+using oracle::bans_t;
+using oracle::scan_nearest;
 using topo::clock_tree;
 using topo::instance;
 using topo::node_id;
@@ -42,17 +56,17 @@ instance seeded_instance(int n, std::uint64_t seed, bool intermingled,
     return inst;
 }
 
-/// Compare every query on both backends, with and without a ban set.
+/// Compare every query of the grid with the scan, with and without a ban
+/// set.
 void expect_index_equivalence(const clock_tree& t,
                               const std::vector<node_id>& roots,
                               std::uint64_t ban_seed) {
-    nn_index lin(&t, roots);
     grid_index grid(&t, roots);
-    ASSERT_EQ(lin.size(), grid.size());
+    ASSERT_EQ(grid.size(), roots.size());
 
     // Random symmetric ban set over ~10% of pairs.
     gen::rng rng(ban_seed);
-    std::unordered_set<std::uint64_t> bans;
+    bans_t bans;
     for (node_id a : roots)
         for (int k = 0; k < 2; ++k) {
             const auto b = roots[static_cast<std::size_t>(
@@ -63,14 +77,14 @@ void expect_index_equivalence(const clock_tree& t,
     const auto with_ban = [&](std::uint64_t k) { return bans.count(k) > 0; };
 
     for (node_id id : roots) {
-        const auto l0 = lin.nearest_if(id, no_ban);
+        const auto l0 = scan_nearest(t, roots, id);
         const auto g0 = grid.nearest_if(id, no_ban);
         ASSERT_EQ(l0.has_value(), g0.has_value()) << "id " << id;
         if (l0.has_value()) {
             EXPECT_EQ(l0->first, g0->first) << "id " << id;
             EXPECT_EQ(l0->second, g0->second) << "id " << id;
         }
-        const auto l1 = lin.nearest_if(id, with_ban);
+        const auto l1 = scan_nearest(t, roots, id, bans);
         const auto g1 = grid.nearest_if(id, with_ban);
         ASSERT_EQ(l1.has_value(), g1.has_value()) << "id " << id << " (bans)";
         if (l1.has_value()) {
@@ -80,7 +94,7 @@ void expect_index_equivalence(const clock_tree& t,
     }
 }
 
-TEST(GridIndex, MatchesLinearOnClusteredAndIntermingledLeaves) {
+TEST(GridIndex, MatchesScanOnClusteredAndIntermingledLeaves) {
     for (const bool intermingled : {false, true}) {
         for (const std::uint64_t seed : {3u, 11u, 29u}) {
             const auto inst = seeded_instance(180, seed, intermingled, 6);
@@ -93,7 +107,7 @@ TEST(GridIndex, MatchesLinearOnClusteredAndIntermingledLeaves) {
     }
 }
 
-TEST(GridIndex, MatchesLinearWithLongMergedArcs) {
+TEST(GridIndex, MatchesScanWithLongMergedArcs) {
     // Mix leaves with synthetic internal nodes carrying long Manhattan
     // arcs (hulls of distant leaf pairs), the shape the engine produces
     // mid-run; long arcs span many grid cells.
@@ -125,68 +139,12 @@ TEST(GridIndex, MatchesLinearWithLongMergedArcs) {
     expect_index_equivalence(t, active, 123);
 }
 
-/// Route the same instance under both backends; trees must be identical in
-/// every engine statistic, wirelength, and per-node geometry.
-void expect_identical_routes(const instance& inst) {
-    router_options grid_opt, lin_opt;
-    grid_opt.engine.backend = nn_backend::grid;
-    lin_opt.engine.backend = nn_backend::linear;
-    for (const ast_mode mode :
-         {ast_mode::windowed, ast_mode::soft_ledger, ast_mode::automatic}) {
-        const auto g = route_ast_dme(inst, skew_spec::zero(), grid_opt, mode);
-        const auto l = route_ast_dme(inst, skew_spec::zero(), lin_opt, mode);
-        EXPECT_EQ(g.stats.merges, l.stats.merges);
-        EXPECT_EQ(g.stats.rejected_pairs, l.stats.rejected_pairs);
-        EXPECT_EQ(g.stats.forced_merges, l.stats.forced_merges);
-        EXPECT_EQ(g.stats.interior_snakes, l.stats.interior_snakes);
-        EXPECT_EQ(g.stats.root_snakes, l.stats.root_snakes);
-        EXPECT_EQ(g.stats.snake_wire, l.stats.snake_wire);
-        EXPECT_EQ(g.wirelength, l.wirelength);
-        ASSERT_EQ(g.tree.size(), l.tree.size());
-        for (std::size_t i = 0; i < g.tree.size(); ++i) {
-            const auto& gn = g.tree.node(static_cast<node_id>(i));
-            const auto& ln = l.tree.node(static_cast<node_id>(i));
-            EXPECT_EQ(gn.left, ln.left);
-            EXPECT_EQ(gn.right, ln.right);
-            EXPECT_EQ(gn.arc, ln.arc);
-            EXPECT_EQ(gn.edge_left, ln.edge_left);
-            EXPECT_EQ(gn.edge_right, ln.edge_right);
-        }
-    }
-}
-
-TEST(GridIndex, EngineProducesIdenticalTreesClustered) {
-    expect_identical_routes(seeded_instance(220, 17, false, 6));
-}
-
-TEST(GridIndex, EngineProducesIdenticalTreesIntermingled) {
-    expect_identical_routes(seeded_instance(220, 23, true, 8));
-}
-
-TEST(GridIndex, EngineIdenticalUnderMultiMergeAndZst) {
-    const auto inst = seeded_instance(150, 31, true, 5);
-    for (const merge_order order :
-         {merge_order::nearest_pair, merge_order::multi_merge}) {
-        router_options g, l;
-        g.engine.order = l.engine.order = order;
-        g.engine.backend = nn_backend::grid;
-        l.engine.backend = nn_backend::linear;
-        const auto rg = route_zst_dme(inst, g);
-        const auto rl = route_zst_dme(inst, l);
-        EXPECT_EQ(rg.wirelength, rl.wirelength);
-        EXPECT_EQ(rg.stats.merges, rl.stats.merges);
-        EXPECT_EQ(rg.stats.snake_wire, rl.stats.snake_wire);
-        EXPECT_EQ(rg.stats.rounds, rl.stats.rounds);
-    }
-}
-
 TEST(GridIndex, EraseReinsertKeepsAnswersConsistent) {
     const auto inst = seeded_instance(90, 41, true, 3);
     clock_tree t;
     std::vector<node_id> roots;
     for (std::size_t i = 0; i < inst.sinks.size(); ++i)
         roots.push_back(t.add_leaf(inst, static_cast<int>(i)));
-    nn_index lin(&t, roots);
     grid_index grid(&t, roots);
     gen::rng rng(7);
     const auto no_ban = [](std::uint64_t) { return false; };
@@ -197,22 +155,20 @@ TEST(GridIndex, EraseReinsertKeepsAnswersConsistent) {
         if (!in.empty() && (out.empty() || rng.below(3) != 0)) {
             const auto k = static_cast<std::size_t>(rng.below(in.size()));
             const node_id id = in[k];
-            lin.erase(id);
             grid.erase(id);
             in.erase(in.begin() + static_cast<std::ptrdiff_t>(k));
             out.push_back(id);
         } else {
             const node_id id = out.back();
             out.pop_back();
-            lin.insert(id);
             grid.insert(id);
             in.push_back(id);
         }
         ASSERT_EQ(audit::verify_grid_vs_live_set(grid, t), "")
             << "step " << step;
-        ASSERT_EQ(lin.size(), grid.size());
+        ASSERT_EQ(in.size(), grid.size());
         for (const node_id id : in) {
-            const auto l = lin.nearest_if(id, no_ban);
+            const auto l = scan_nearest(t, in, id);
             const auto g = grid.nearest_if(id, no_ban);
             ASSERT_EQ(l.has_value(), g.has_value());
             if (l.has_value()) {
@@ -239,8 +195,8 @@ TEST(GridIndex, TinyPopulationsKeepMinimumCellResolution) {
             roots.push_back(t.add_leaf(inst, static_cast<int>(i)));
         const grid_index grid(&t, roots);
         EXPECT_GE(std::max(grid.cells_u(), grid.cells_v()), 8) << "n=" << n;
-        // ...and the clamped grid still answers exactly like the linear
-        // reference, bans and churn included.
+        // ...and the clamped grid still answers exactly like the scan,
+        // bans included.
         expect_index_equivalence(t, roots, 77 + static_cast<unsigned>(n));
     }
     // Past the clamp region sqrt-sizing takes over unchanged.
@@ -254,26 +210,6 @@ TEST(GridIndex, TinyPopulationsKeepMinimumCellResolution) {
 }
 
 // ------------------------------------------------------ lexicographic floor
-
-using bans_t = std::unordered_set<std::uint64_t>;
-
-/// Brute-force reference for a floored query: the lexicographic minimum
-/// (distance, id) over every other active root strictly above the floor
-/// (spelled out here, not through nn_floor::admits) that the ban set does
-/// not hold.
-std::optional<std::pair<node_id, double>> brute_nearest(
-    const clock_tree& t, const std::vector<node_id>& active, node_id id,
-    const bans_t& bans, nn_floor floor) {
-    std::optional<std::pair<node_id, double>> best;
-    for (const node_id j : active) {
-        if (j == id || bans.count(pair_key(id, j)) != 0) continue;
-        const double d = t.node(id).arc.distance(t.node(j).arc);
-        if (d < floor.d || (d == floor.d && j <= floor.id)) continue;
-        if (!best || d < best->second || (d == best->second && j < best->first))
-            best = std::make_pair(j, d);
-    }
-    return best;
-}
 
 /// Random symmetric ban set over roughly `per_root` pairs per root.
 bans_t random_bans(const std::vector<node_id>& active, std::uint64_t seed,
@@ -289,8 +225,8 @@ bans_t random_bans(const std::vector<node_id>& active, std::uint64_t seed,
     return bans;
 }
 
-/// Grid (ring walk and dense scan), linear scan and brute force agree on
-/// every query of `active` under every floor a query can meet: none; each
+/// The grid's ring walk and dense scan agree with scan_nearest on every
+/// query of the active roots under every floor a query can meet: none; each
 /// candidate's own (d, id) — the record the engine floors at after a
 /// rejection — with the id one below and one above (equal-distance ties
 /// on both sides of the floor id); and the candidate's distance one ulp
@@ -301,30 +237,24 @@ int expect_floored_queries_exact(const clock_tree& t,
                                  const std::vector<node_id>& roots,
                                  const std::vector<node_id>& inserted,
                                  const bans_t& bans) {
-    nn_index lin(&t, roots);
     grid_index grid(&t, roots);
+    std::vector<node_id> active = roots;
     for (const node_id id : inserted) {  // sized without them, as mid-run
-        lin.insert(id);
         grid.insert(id);
+        active.push_back(id);
     }
-    const std::vector<node_id>& active = lin.active();
     const auto probe = [&bans](std::uint64_t k) { return bans.count(k) != 0; };
     int two_sided_ties = 0;
     const auto check = [&](node_id id, nn_floor floor) {
-        const auto want = brute_nearest(t, active, id, bans, floor);
-        const auto l = lin.nearest_if(id, probe, floor);
+        const auto want = scan_nearest(t, active, id, bans, floor);
         const auto g = grid.nearest_if(id, probe, floor);
         const auto gs = grid.nearest_scan_if(id, probe, floor);
-        ASSERT_EQ(want.has_value(), l.has_value())
-            << "id " << id << " floor (" << floor.d << ", " << floor.id << ")";
         ASSERT_EQ(want.has_value(), g.has_value())
             << "id " << id << " floor (" << floor.d << ", " << floor.id << ")";
         ASSERT_EQ(want.has_value(), gs.has_value())
             << "id " << id << " floor (" << floor.d << ", " << floor.id
             << ") (scan)";
         if (!want.has_value()) return;
-        EXPECT_EQ(want->first, l->first) << "id " << id;
-        EXPECT_EQ(want->second, l->second) << "id " << id;
         EXPECT_EQ(want->first, g->first)
             << "id " << id << " floor (" << floor.d << ", " << floor.id << ")";
         EXPECT_EQ(want->second, g->second) << "id " << id;
@@ -355,7 +285,7 @@ int expect_floored_queries_exact(const clock_tree& t,
     return two_sided_ties;
 }
 
-TEST(GridIndex, FloorMatchesLinearAndBruteForceOnRandomArcs) {
+TEST(GridIndex, FloorMatchesScanOnRandomArcs) {
     // Leaves plus long merged arcs (the engine's mid-run shapes), random
     // bans, and every floor a query can meet.
     const auto inst = seeded_instance(90, 61, true, 4);
@@ -453,14 +383,13 @@ TEST(GridIndex, FloorMatchesOnLatticeTiesBoundariesAndClampedArcs) {
 TEST(GridIndex, OccupancyAdaptiveRebuildKeepsAnswersExact) {
     // Shrink the active set the way the engine does (erasures dominate);
     // the occupancy-adaptive rebuild must fire as the population collapses
-    // and must never change a nearest-neighbour answer, the slot order or
-    // the grid's registration invariant.
+    // and must never change a nearest-neighbour answer or the grid's
+    // registration invariant.
     const auto inst = seeded_instance(300, 51, true, 6);
     clock_tree t;
     std::vector<node_id> roots;
     for (std::size_t i = 0; i < inst.sinks.size(); ++i)
         roots.push_back(t.add_leaf(inst, static_cast<int>(i)));
-    nn_index lin(&t, roots);
     grid_index grid(&t, roots);
     EXPECT_EQ(grid.rebuilds(), 0);
     ASSERT_EQ(audit::verify_grid_vs_live_set(grid, t), "");
@@ -472,7 +401,6 @@ TEST(GridIndex, OccupancyAdaptiveRebuildKeepsAnswersExact) {
     while (in.size() > 2) {
         const auto k = static_cast<std::size_t>(rng.below(in.size()));
         const node_id id = in[k];
-        lin.erase(id);
         grid.erase(id);
         in.erase(in.begin() + static_cast<std::ptrdiff_t>(k));
         ASSERT_EQ(audit::verify_grid_vs_live_set(grid, t), "")
@@ -482,8 +410,7 @@ TEST(GridIndex, OccupancyAdaptiveRebuildKeepsAnswersExact) {
         // Full equivalence sweep right after each rebuild and periodically.
         if (just_rebuilt || in.size() % 16 == 0) {
             for (const node_id q : in) {
-                ASSERT_EQ(lin.slot_of(q), grid.slot_of(q));
-                const auto l = lin.nearest_if(q, no_ban);
+                const auto l = scan_nearest(t, in, q);
                 const auto g = grid.nearest_if(q, no_ban);
                 ASSERT_EQ(l.has_value(), g.has_value());
                 if (l.has_value()) {
@@ -495,6 +422,185 @@ TEST(GridIndex, OccupancyAdaptiveRebuildKeepsAnswersExact) {
     }
     // 300 -> 74 -> 18: at least two adaptive rebuilds on the way down.
     EXPECT_GE(grid.rebuilds(), 2);
+}
+
+// ------------------------------------------------------- radius queries
+
+TEST(GridIndex, ForEachWithinReportsEveryRootInRadiusExactly) {
+    // Leaves, long merged arcs and arcs clamped from outside the sizing
+    // box, queried with random rects (inside, straddling and outside the
+    // box) and radii (zero, random, and exactly some root's distance)
+    // while erasures drive the occupancy-adaptive rebuilds.  Every active
+    // root within the radius must be reported at least once, each report
+    // must carry the root's `tilted_rect::distance` to the rect bitwise,
+    // and no inactive id may be reported.
+    const auto inst = seeded_instance(340, 71, true, 6);
+    clock_tree t;
+    std::vector<node_id> leaves;
+    for (std::size_t i = 0; i < inst.sinks.size(); ++i)
+        leaves.push_back(t.add_leaf(inst, static_cast<int>(i)));
+    std::vector<node_id> in(leaves.begin(), leaves.begin() + 300);
+    geom::tilted_rect box = t.node(in.front()).arc;
+    for (const node_id id : in) box = box.hull(t.node(id).arc);
+    const double span = std::max(box.u().length(), box.v().length());
+    const auto at = [&](double fu, double fv) {  // box-relative point
+        return geom::tilted_point{box.u().lo + fu * span,
+                                  box.v().lo + fv * span};
+    };
+    gen::rng rng(2718);
+    const auto unit = [&rng] {
+        return static_cast<double>(rng.below(1u << 20)) / (1u << 20);
+    };
+    grid_index grid(&t, in);
+    // 20 arcs inserted after sizing, as mid-run: Manhattan arcs spanning
+    // two distant leaves, and boxes beyond or across the sizing box.
+    using geom::interval;
+    for (std::size_t k = 300; k + 1 < leaves.size(); k += 2) {
+        geom::tilted_rect arc;
+        if (k % 4 == 0) {
+            const geom::tilted_rect hull =
+                t.node(in[rng.below(in.size())]).arc.hull(
+                    t.node(in[rng.below(in.size())]).arc);
+            arc = {interval::at(hull.u().mid()), hull.v()};
+        } else {
+            const geom::tilted_point lo =
+                at(-0.4 + 1.8 * unit(), -0.4 + 1.8 * unit());
+            arc = {interval(lo.u, lo.u + 0.3 * span * unit()),
+                   interval(lo.v, lo.v + 0.3 * span * unit())};
+        }
+        const node_id c = t.add_internal(leaves[k], leaves[k + 1], arc, 0.0,
+                                         0.0, 0.0, t.node(leaves[k]).delays);
+        grid.insert(c);
+        in.push_back(c);
+    }
+    std::vector<char> active(t.size(), 0);
+    for (const node_id id : in) active[static_cast<std::size_t>(id)] = 1;
+
+    int queries = 0, reported = 0;
+    const auto check = [&](const geom::tilted_rect& q, double radius) {
+        std::vector<char> seen(t.size(), 0);
+        grid.for_each_within(q, radius, [&](node_id id, double d) {
+            ASSERT_GE(id, 0);
+            ASSERT_LT(static_cast<std::size_t>(id), t.size());
+            ASSERT_EQ(active[static_cast<std::size_t>(id)], 1)
+                << "inactive id " << id << " reported";
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(d),
+                      std::bit_cast<std::uint64_t>(t.node(id).arc.distance(q)))
+                << "id " << id;
+            seen[static_cast<std::size_t>(id)] = 1;
+        });
+        ++queries;
+        for (const node_id id : in)
+            if (t.node(id).arc.distance(q) <= radius) {
+                ASSERT_EQ(seen[static_cast<std::size_t>(id)], 1)
+                    << "id " << id << " at " << t.node(id).arc.distance(q)
+                    << " within radius " << radius << " not reported";
+                ++reported;
+            }
+    };
+    while (in.size() > 4) {
+        for (int k = 0; k < 12; ++k) {
+            const geom::tilted_point lo =
+                at(-0.3 + 1.6 * unit(), -0.3 + 1.6 * unit());
+            const double wu = k % 3 == 0 ? 0.0 : 0.2 * span * unit();
+            const double wv = k % 3 == 1 ? 0.0 : 0.2 * span * unit();
+            const geom::tilted_rect q{interval(lo.u, lo.u + wu),
+                                      interval(lo.v, lo.v + wv)};
+            const node_id j = in[rng.below(in.size())];
+            const double radius = k % 4 == 0   ? 0.0
+                                  : k % 4 == 1 ? t.node(j).arc.distance(q)
+                                               : 0.3 * span * unit();
+            check(q, radius);
+            check(t.node(j).arc, radius);  // an active root's own arc
+        }
+        for (int k = 0; k < 8 && in.size() > 4; ++k) {
+            const auto x = static_cast<std::size_t>(rng.below(in.size()));
+            grid.erase(in[x]);
+            active[static_cast<std::size_t>(in[x])] = 0;
+            in.erase(in.begin() + static_cast<std::ptrdiff_t>(x));
+        }
+        ASSERT_EQ(audit::verify_grid_vs_live_set(grid, t), "");
+    }
+    EXPECT_GE(grid.rebuilds(), 2);
+    EXPECT_GT(reported, queries);  // the radii are not all vacuous
+}
+
+// ------------------------------------------------ reference merge order
+
+/// The engine's route of `req` must be reference_reduce's: the engine
+/// statistics the reference keeps bitwise and every node's children, arc
+/// and edge lengths.  Folds the reference's counters into `seen`.
+void expect_reference_route(const routing_request& req,
+                            const std::string& what, engine_stats& seen) {
+    const route_result got = route(req);
+    const route_result want = oracle::reference_reduce(req);
+    ASSERT_TRUE(got.ok()) << what << ": " << got.status_message;
+    EXPECT_EQ(got.wirelength, want.wirelength) << what;
+    EXPECT_EQ(got.stats.merges, want.stats.merges) << what;
+    EXPECT_EQ(got.stats.rejected_pairs, want.stats.rejected_pairs) << what;
+    EXPECT_EQ(got.stats.forced_merges, want.stats.forced_merges) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.stats.snake_wire),
+              std::bit_cast<std::uint64_t>(want.stats.snake_wire))
+        << what;
+    ASSERT_EQ(got.tree.size(), want.tree.size()) << what;
+    for (std::size_t i = 0; i < got.tree.size(); ++i) {
+        const auto& gn = got.tree.node(static_cast<node_id>(i));
+        const auto& wn = want.tree.node(static_cast<node_id>(i));
+        ASSERT_EQ(gn.left, wn.left) << what << " node " << i;
+        ASSERT_EQ(gn.right, wn.right) << what << " node " << i;
+        ASSERT_EQ(gn.arc, wn.arc) << what << " node " << i;
+        ASSERT_EQ(gn.edge_left, wn.edge_left) << what << " node " << i;
+        ASSERT_EQ(gn.edge_right, wn.edge_right) << what << " node " << i;
+    }
+    seen.accumulate(want.stats);
+}
+
+/// Windowed, soft-ledger and automatic AST at 0 and 5 ps, ZST-DME and
+/// EXT-BST at 10 ps, each with re-keying on and off.
+engine_stats expect_engine_matches_reference(const instance& inst) {
+    engine_stats seen;
+    for (const bool rekey : {true, false}) {
+        std::vector<std::pair<routing_request, std::string>> reqs;
+        for (const double bound : {0.0, 5e-12})
+            for (const ast_mode m : {ast_mode::windowed, ast_mode::soft_ledger,
+                                     ast_mode::automatic}) {
+                routing_request r;
+                r.strategy = strategy_id::ast_dme;
+                r.mode = m;
+                r.spec = skew_spec::uniform(bound);
+                reqs.emplace_back(r, "ast mode " +
+                                         std::to_string(static_cast<int>(m)) +
+                                         " bound " + std::to_string(bound));
+            }
+        reqs.emplace_back(routing_request{}, "zst");
+        reqs.back().first.strategy = strategy_id::zst_dme;
+        reqs.emplace_back(routing_request{}, "ext_bst");
+        reqs.back().first.strategy = strategy_id::ext_bst;
+        reqs.back().first.spec = skew_spec::uniform(10e-12);
+        for (auto& [r, what] : reqs) {
+            r.instance = &inst;
+            r.options.engine.true_cost_ordering = rekey;
+            expect_reference_route(r, what + (rekey ? " rekey" : " no-rekey"),
+                                   seen);
+        }
+    }
+    return seen;
+}
+
+TEST(ReferenceReduce, EngineMatchesOnClusteredInstance) {
+    const engine_stats seen =
+        expect_engine_matches_reference(seeded_instance(220, 17, false, 6));
+    EXPECT_GT(seen.merges, 0);
+}
+
+TEST(ReferenceReduce, EngineMatchesOnIntermingledInstance) {
+    // Intermingled groups make the windowed and soft routes reject pairs
+    // and end in forced merges, so the ban bookkeeping, the rejection
+    // floors and the forced endgame are all compared.
+    const engine_stats seen =
+        expect_engine_matches_reference(seeded_instance(220, 23, true, 8));
+    EXPECT_GT(seen.rejected_pairs, 0);
+    EXPECT_GT(seen.forced_merges, 0);
 }
 
 }  // namespace

@@ -70,6 +70,21 @@ TEST(InstanceIo, HugeSinkCountIsAParseErrorNotAnAllocation) {
     EXPECT_THROW(read_instance(ss), std::runtime_error);
 }
 
+TEST(InstanceIo, HugeGroupCountIsAParseErrorNotAnAllocation) {
+    // Validation sized one counter per declared group before checking the
+    // count, so this header asked for 8 GB.
+    std::stringstream ss;
+    ss << "astclk-instance v1\nname t\ndie 10 10\nsource 5 5\n"
+       << "groups 2000000000\nsinks 2\n1 1 1e-15 0\n2 2 1e-15 1\n";
+    try {
+        (void)read_instance(ss);
+        ADD_FAILURE() << "parsed an instance with 2e9 groups and 2 sinks";
+    } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("num_groups"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(InstanceIo, RejectsUnknownHeaderKey) {
     std::stringstream ss("astclk-instance v1\nfrobnicate 3\n");
     EXPECT_THROW(read_instance(ss), std::runtime_error);

@@ -1,6 +1,6 @@
 // Service-layer tests: batched and streamed route_service runs must be
 // bit-identical to direct single-threaded router calls for all four
-// strategies on both NN backends, deterministic across thread counts, and
+// strategies, deterministic across thread counts, and
 // isolate a failing request from the rest of its batch.  Also covers the
 // streaming API (async submit, priority ordering, per-request deadlines,
 // cooperative cancellation with one-round latency, scratch-pool recovery),
@@ -68,21 +68,17 @@ void expect_same_route(const route_result& a, const route_result& b,
     }
 }
 
-/// All four strategies on both NN backends against one instance.
+/// All four strategies against one instance.
 std::vector<routing_request> all_requests(const topo::instance& inst) {
     std::vector<routing_request> reqs;
-    for (const nn_backend be : {nn_backend::grid, nn_backend::linear}) {
-        for (const strategy_id s :
-             {strategy_id::zst_dme, strategy_id::ext_bst,
-              strategy_id::ast_dme, strategy_id::separate_stitch}) {
-            routing_request r;
-            r.instance = &inst;
-            r.options.engine.backend = be;
-            r.strategy = s;
-            if (s == strategy_id::ext_bst)
-                r.spec = skew_spec::uniform(10e-12);
-            reqs.push_back(r);
-        }
+    for (const strategy_id s :
+         {strategy_id::zst_dme, strategy_id::ext_bst, strategy_id::ast_dme,
+          strategy_id::separate_stitch}) {
+        routing_request r;
+        r.instance = &inst;
+        r.strategy = s;
+        if (s == strategy_id::ext_bst) r.spec = skew_spec::uniform(10e-12);
+        reqs.push_back(r);
     }
     return reqs;
 }
@@ -180,7 +176,7 @@ TEST(RouteService, BatchedMatchesDirectCallsBitExact) {
 }
 
 TEST(RouteService, StreamingSubmitMatchesDirectCallsBitExact) {
-    // The full identity matrix: all 4 strategies x both backends x
+    // The full identity matrix: all 4 strategies x
     // {batch wrapper, streaming submit} x thread counts {1, 2, hw}.
     const auto inst = small_instance(90, 5, 21, true);
     const auto reqs = all_requests(inst);
@@ -288,11 +284,15 @@ TEST(RouteService, InvalidRequestIsNeitherRetriedNorDegraded) {
     const auto inst = small_instance(60, 4, 55, true);
     auto bad_inst = inst;
     bad_inst.sinks[7].group = 9;  // out of range for num_groups == 4
+    auto huge_inst = inst;
+    huge_inst.num_groups = 2000000000;  // more groups than sinks
     routing_request base;
     base.instance = &inst;
     std::vector<std::pair<routing_request, const char*>> cases;
     cases.emplace_back(base, "invalid instance");
     cases.back().first.instance = &bad_inst;
+    cases.emplace_back(base, "invalid instance");
+    cases.back().first.instance = &huge_inst;
     for (const skew_spec& spec :
          {skew_spec::uniform(std::numeric_limits<double>::quiet_NaN()),
           skew_spec::uniform(-5e-12),

@@ -221,6 +221,23 @@ TEST(Routers, InvalidInstanceIsRejectedBeforeTheEngine) {
     routing_request req;
     req.instance = &inst;
     EXPECT_EQ(route(req).status, route_status::error);
+    // So is a group count no sink set can fill, before anything is sized
+    // by it (validation used to allocate one counter per declared group).
+    topo::instance huge;
+    huge.sinks = {{{0, 0}, 1e-15, 0}, {{10, 0}, 1e-15, 1}};
+    huge.num_groups = 2000000000;
+    for (const strategy_id s :
+         {strategy_id::ast_dme, strategy_id::zst_dme, strategy_id::ext_bst,
+          strategy_id::separate_stitch}) {
+        routing_request hreq;
+        hreq.instance = &huge;
+        hreq.strategy = s;
+        const route_result r = route(hreq);
+        EXPECT_EQ(r.status, route_status::error);
+        EXPECT_NE(r.status_message.find("num_groups"), std::string::npos)
+            << r.status_message;
+        EXPECT_EQ(r.tree.size(), 0u);
+    }
 }
 
 TEST(Routers, InvalidSkewSpecIsRejectedBeforeTheEngine) {

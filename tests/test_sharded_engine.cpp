@@ -5,8 +5,8 @@
 //  * the partitioner: every sink in exactly one shard, no empty shards,
 //    deterministic emission, population clamping, the auto heuristic;
 //  * determinism: a fixed shard count yields bit-identical trees across
-//    worker-thread counts {1, 2, hw} and both NN backends (direct calls
-//    and service submissions alike);
+//    worker-thread counts {1, 2, hw} (direct calls and service
+//    submissions alike);
 //  * quality: sharded wirelength within a stated bound (25%) of the
 //    monolithic reduce on r1–r5, and the skew spec still met after the
 //    stitch (independent eval pass, windowed-mode violation contract);
@@ -69,13 +69,12 @@ void expect_same_tree(const route_result& got, const route_result& ref,
 }
 
 routing_request sharded_request(const topo::instance& inst, strategy_id s,
-                                int shards, nn_backend be) {
+                                int shards) {
     routing_request r;
     r.instance = &inst;
     r.strategy = s;
     if (s == strategy_id::ast_dme) r.mode = ast_mode::windowed;
     if (s == strategy_id::ext_bst) r.spec = skew_spec::uniform(10e-12);
-    r.options.engine.backend = be;
     r.options.engine.shards = shards;
     return r;
 }
@@ -143,43 +142,30 @@ TEST(ShardPartition, AutoHeuristicTracksPopulationAndConcurrency) {
 
 // ------------------------------------------------------------ determinism
 
-TEST(ShardedEngine, FixedShardCountBitIdenticalAcrossThreadsAndBackends) {
+TEST(ShardedEngine, FixedShardCountBitIdenticalAcrossThreads) {
     const auto inst = paper_instance("r3", 8);
     const std::vector<int> counts{
         1, 2,
         static_cast<int>(std::max(2u, std::thread::hardware_concurrency()))};
     for (const strategy_id s : {strategy_id::zst_dme, strategy_id::ast_dme}) {
-        for (const nn_backend be : {nn_backend::grid, nn_backend::linear}) {
-            const auto ref = route(sharded_request(inst, s, 4, be));
-            ASSERT_TRUE(ref.ok()) << ref.status_message;
-            EXPECT_EQ(ref.stats.shards, 4);
-            for (const int threads : counts) {
-                service_options sopt;
-                sopt.threads = threads;
-                route_service svc(sopt);
-                const auto got =
-                    svc.route_batch({sharded_request(inst, s, 4, be)});
-                expect_same_tree(
-                    got[0], ref,
-                    std::string(to_string(s)) + " threads=" +
-                        std::to_string(threads) +
-                        (be == nn_backend::grid ? " grid" : " linear"));
-            }
+        const auto ref = route(sharded_request(inst, s, 4));
+        ASSERT_TRUE(ref.ok()) << ref.status_message;
+        EXPECT_EQ(ref.stats.shards, 4);
+        for (const int threads : counts) {
+            service_options sopt;
+            sopt.threads = threads;
+            route_service svc(sopt);
+            const auto got = svc.route_batch({sharded_request(inst, s, 4)});
+            expect_same_tree(got[0], ref,
+                             std::string(to_string(s)) + " threads=" +
+                                 std::to_string(threads));
         }
     }
-    // Both backends agree with each other too (one grid/linear pair).
-    expect_same_tree(
-        route(sharded_request(inst, strategy_id::ast_dme, 4,
-                              nn_backend::linear)),
-        route(sharded_request(inst, strategy_id::ast_dme, 4,
-                              nn_backend::grid)),
-        "grid vs linear");
 }
 
 TEST(ShardedEngine, MultiMergeOrderShardsDeterministically) {
     const auto inst = paper_instance("r2", 6);
-    auto req = sharded_request(inst, strategy_id::zst_dme, 4,
-                               nn_backend::grid);
+    auto req = sharded_request(inst, strategy_id::zst_dme, 4);
     req.options.engine.order = merge_order::multi_merge;
     const auto ref = route(req);
     ASSERT_TRUE(ref.ok()) << ref.status_message;
@@ -200,10 +186,10 @@ TEST(ShardedEngine, WirelengthWithinBoundOfMonolithicOnPaperSuite) {
     for (const char* name : {"r1", "r2", "r3", "r4", "r5"}) {
         const auto inst = paper_instance(name, 1);
         for (const int k : {4, 8}) {
-            const auto mono = route(sharded_request(
-                inst, strategy_id::zst_dme, 1, nn_backend::grid));
-            const auto shard = route(sharded_request(
-                inst, strategy_id::zst_dme, k, nn_backend::grid));
+            const auto mono =
+                route(sharded_request(inst, strategy_id::zst_dme, 1));
+            const auto shard =
+                route(sharded_request(inst, strategy_id::zst_dme, k));
             ASSERT_TRUE(mono.ok());
             ASSERT_TRUE(shard.ok());
             EXPECT_GT(shard.wirelength, 0.0);
@@ -221,8 +207,7 @@ TEST(ShardedEngine, SkewSpecStillMetPostStitch) {
     // tolerated exactly up to that amount.
     for (const char* name : {"r2", "r3"}) {
         const auto inst = paper_instance(name, 6);
-        const auto res = route(sharded_request(inst, strategy_id::ast_dme, 8,
-                                               nn_backend::grid));
+        const auto res = route(sharded_request(inst, strategy_id::ast_dme, 8));
         ASSERT_TRUE(res.ok()) << res.status_message;
         eval::verify_options vopt;
         vopt.skew_tolerance = res.stats.worst_violation + 1e-15;
@@ -233,8 +218,7 @@ TEST(ShardedEngine, SkewSpecStillMetPostStitch) {
     }
     // Zero-skew single-group routes stitch without any violation budget.
     const auto inst = paper_instance("r3", 1);
-    const auto res = route(
-        sharded_request(inst, strategy_id::zst_dme, 8, nn_backend::grid));
+    const auto res = route(sharded_request(inst, strategy_id::zst_dme, 8));
     ASSERT_TRUE(res.ok());
     EXPECT_EQ(res.stats.worst_violation, 0.0);
     const auto vr = eval::verify_route(res, inst, rc::delay_model::elmore(),
@@ -248,8 +232,7 @@ TEST(ShardedEngine, StatsSumExactlyAcrossShardsAndStitch) {
     const auto inst = paper_instance("r3", 6);
     const auto n = static_cast<int>(inst.sinks.size());
     for (const int k : {2, 8}) {
-        const auto res = route(
-            sharded_request(inst, strategy_id::ast_dme, k, nn_backend::grid));
+        const auto res = route(sharded_request(inst, strategy_id::ast_dme, k));
         ASSERT_TRUE(res.ok()) << res.status_message;
         // k sub-reductions of n_i roots plus one stitch of k roots merge
         // sum(n_i - 1) + (k - 1) = n - 1 times: the per-shard counters
@@ -262,8 +245,7 @@ TEST(ShardedEngine, StatsSumExactlyAcrossShardsAndStitch) {
         EXPECT_EQ(res.tree.check_structure(inst.sinks.size()), "");
     }
     // Monolithic reference reports the same total and no shard count.
-    const auto mono = route(
-        sharded_request(inst, strategy_id::ast_dme, 1, nn_backend::grid));
+    const auto mono = route(sharded_request(inst, strategy_id::ast_dme, 1));
     EXPECT_EQ(mono.stats.merges, n - 1);
     EXPECT_EQ(mono.stats.shards, 0);
 }
@@ -272,8 +254,7 @@ TEST(ShardedEngine, StatsSumExactlyAcrossShardsAndStitch) {
 
 TEST(ShardedEngine, MidShardCancelStopsAtCheckpointWithExactAccounting) {
     const auto inst = paper_instance("r1", 1);  // 267 sinks
-    routing_request base =
-        sharded_request(inst, strategy_id::zst_dme, 4, nn_backend::grid);
+    routing_request base = sharded_request(inst, strategy_id::zst_dme, 4);
 
     // Checkpoint census of an unperturbed sharded run: poll 1 is the
     // dispatch pre-check, then every shard's selection steps and the
@@ -325,8 +306,7 @@ TEST(ShardedEngine, MidShardCancelStopsAtCheckpointWithExactAccounting) {
 
 TEST(ShardedEngine, MidShardDeadlineCancelsPromptly) {
     const auto inst = paper_instance("r1", 1);
-    routing_request r =
-        sharded_request(inst, strategy_id::zst_dme, 4, nn_backend::grid);
+    routing_request r = sharded_request(inst, strategy_id::zst_dme, 4);
     // Deadline 40 ms out; checkpoint 10 (inside shard 1) stalls past it —
     // the very same poll must observe the expiry.
     cancel_probe probe;
@@ -356,8 +336,7 @@ TEST(ShardedEngine, FannedShardCancelUnwindsCleanlyThroughThePool) {
     service_options sopt;
     sopt.threads = 2;
     route_service svc(sopt);
-    auto req = sharded_request(inst, strategy_id::zst_dme, 8,
-                               nn_backend::grid);
+    auto req = sharded_request(inst, strategy_id::zst_dme, 8);
     submit_options tight;
     tight.deadline = std::chrono::steady_clock::now() +
                      std::chrono::microseconds(500);
@@ -379,8 +358,7 @@ TEST(ShardedEngine, ServiceDeadlineBoundsTheWholeShardSubBatch) {
     service_options sopt;
     sopt.threads = 2;
     route_service svc(sopt);
-    auto req = sharded_request(inst, strategy_id::zst_dme, 4,
-                               nn_backend::grid);
+    auto req = sharded_request(inst, strategy_id::zst_dme, 4);
     submit_options expired;
     expired.deadline = std::chrono::steady_clock::now();
     const auto dead = svc.submit(req, expired).wait();
